@@ -2,12 +2,16 @@
 //! nested-loop plan it replaces, over the orders corpus at 1k–30k
 //! lineitems.
 //!
-//! Two workloads, both byte-identical across join modes by construction
+//! Three workloads, all byte-identical across join modes by construction
 //! (asserted in-bench before timing):
 //!
 //! - **self join** — the paper's Section 6 baseline: one inner FLWOR
 //!   per distinct `shipmode` (7 probes), each re-scanning every
 //!   lineitem under the nested plan;
+//! - **self join, two keys** — Table 1's two-key `Q` (the paper's Q4):
+//!   one inner FLWOR per `(shipinstruct, shipmode)` pair (28 probes),
+//!   joined on the conjunction `$li/shipinstruct = $a and
+//!   $li/shipmode = $b` as one composite hash key;
 //! - **two collection** — a 50-row `rates` document probed against the
 //!   lineitem collection on `quantity`, where the nested plan re-scans
 //!   the big side once per rate.
@@ -26,6 +30,13 @@ const SELF_JOIN: &str = "for $m in distinct-values(//lineitem/shipmode) \
      let $items := for $li in //lineitem where $li/shipmode = $m return $li \
      order by string($m) \
      return <g>{string($m)}:{count($items)}</g>";
+
+const SELF_JOIN_TWO_KEY: &str = "for $a in distinct-values(//lineitem/shipinstruct), \
+         $b in distinct-values(//lineitem/shipmode) \
+     let $items := for $li in //lineitem \
+                   where $li/shipinstruct = $a and $li/shipmode = $b return $li \
+     where exists($items) \
+     return <g>{$a, $b, count($items)}</g>";
 
 const TWO_COLLECTION: &str = "for $r in doc(\"rates\")//rate \
      let $ls := for $li in //lineitem where $li/quantity = $r/q return $li \
@@ -106,6 +117,18 @@ fn main() {
             &mut group,
             &format!("n{}", dataset.lineitems),
             SELF_JOIN,
+            &ctx,
+        );
+    }
+
+    // Table 1's two-key self-join: a composite (conjunctive) key.
+    let mut group = Harness::group("join/self_join_two_key");
+    for dataset in &datasets {
+        let ctx = dataset.context();
+        bench_pair(
+            &mut group,
+            &format!("n{}", dataset.lineitems),
+            SELF_JOIN_TWO_KEY,
             &ctx,
         );
     }

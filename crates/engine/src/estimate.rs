@@ -128,15 +128,21 @@ pub(crate) fn join_cardinality(build: u64, probe: u64, ndv: u64) -> u64 {
 
 /// Matched-pairs estimate for an annotated join: build-side cardinality
 /// from [`source_cardinality`], key ndv from the catalog's per-name
-/// distinct counts (keyed by the build key's deepest named step).
+/// distinct counts (keyed by each build key's deepest named step). A
+/// composite key's ndv is the product of its conjuncts' ndvs — the
+/// independence assumption — capped at `|build|`, since no key can
+/// take more distinct values than there are build rows.
 fn join_estimate(
     j: &crate::ir::JoinIr,
     probe: Option<u64>,
     stats: Option<&CatalogStatistics>,
 ) -> Option<u64> {
     let build = source_cardinality(&j.build_src, stats)?;
-    let ndv = stats?.distinct_values(&key_leaf_name(&j.build_key)?)?;
-    Some(join_cardinality(build, probe?, ndv))
+    let stats = stats?;
+    let ndv = j.keys.iter().try_fold(1u64, |acc, k| {
+        Some(acc.saturating_mul(stats.distinct_values(&key_leaf_name(&k.build)?)?))
+    })?;
+    Some(join_cardinality(build, probe?, ndv.min(build)))
 }
 
 /// The deepest named element step of a key path — the leaf whose

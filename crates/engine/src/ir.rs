@@ -255,8 +255,8 @@ pub struct FlworIr {
     pub joins: Vec<Option<JoinIr>>,
 }
 
-/// A join-graph annotation: one nested-FLWOR equality predicate proven
-/// unnestable into a hash join (see [`crate::rewrite::detect_join_unnest`]
+/// A join-graph annotation: one nested-FLWOR equality predicate (or
+/// conjunction of equalities) proven unnestable into a hash join (see [`crate::rewrite::detect_join_unnest`]
 /// for the exact detection rules).
 #[derive(Debug, Clone)]
 pub struct JoinIr {
@@ -269,26 +269,31 @@ pub struct JoinIr {
     /// The build-side source — independent of every slot the enclosing
     /// FLWOR binds, so it is evaluated once per FLWOR execution.
     pub build_src: Ir,
-    /// The original equality predicate, re-evaluated per candidate to
-    /// verify bucket matches (and wholesale on the fallback scan path).
+    /// The original predicate (one equality, or an `and` tree of them),
+    /// evaluated verbatim on the fallback scan path.
     pub pred: Ir,
-    /// The predicate side that references `$y` — atomized per build
+    /// The equality conjuncts of `pred`, left to right: together they
+    /// form one composite equi-join key. A single `=`/`eq` predicate has
+    /// exactly one.
+    pub keys: Vec<JoinKeyIr>,
+    /// Human-readable `probe ~ build` key description for explain
+    /// output and rewrite notes.
+    pub key_desc: String,
+}
+
+/// One equality conjunct of a join predicate.
+#[derive(Debug, Clone)]
+pub struct JoinKeyIr {
+    /// The comparison side that references `$y` — atomized per build
     /// item into the hash-table keys.
-    pub build_key: Ir,
-    /// The predicate side independent of `$y` — atomized per probe
+    pub build: Ir,
+    /// The comparison side independent of `$y` — atomized per probe
     /// tuple into lookup keys.
-    pub probe_key: Ir,
-    /// Whether the probe side is the predicate's left operand
-    /// (evaluation-order bookkeeping: the runtime reproduces the
-    /// nested-loop plan's first-pair error ordering exactly).
-    pub probe_is_lhs: bool,
+    pub probe: Ir,
     /// `true` for a value comparison (`eq`, singleton atomization with
     /// XPTY0004 on more), `false` for a general comparison (`=`,
     /// existential over both atomized sequences).
     pub value_comp: bool,
-    /// Human-readable `probe ~ build` key description for explain
-    /// output and rewrite notes.
-    pub key_desc: String,
 }
 
 /// The output shape of an unnested join.

@@ -120,10 +120,7 @@ pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineRes
     if f.parallel && interp.parallel_ok {
         let threads = crate::resolve_threads(interp.query.threads);
         if threads > 1 {
-            let ClauseIr::For { expr, .. } = &f.clauses[0] else {
-                unreachable!("parallel-eligible FLWOR starts with a for clause");
-            };
-            let items = interp.eval(expr, env)?;
+            let items = eval_outer_for(interp, f, env)?;
             if items.len() > MORSEL {
                 return run_parallel(interp, f, env, items, threads);
             }
@@ -131,6 +128,20 @@ pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineRes
         }
     }
     run_serial(interp, f, env, None)
+}
+
+/// Evaluate a parallel-eligible FLWOR's outer `for` binding sequence up
+/// front, through the same [`ExprEval`] (and so the same counters) the
+/// serial chain's `ForScan` would use — the evaluation counts must not
+/// depend on the thread count.
+fn eval_outer_for(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineResult<Sequence> {
+    let ClauseIr::For { expr, .. } = &f.clauses[0] else {
+        unreachable!("parallel-eligible FLWOR starts with a for clause");
+    };
+    let mut expr_eval = ExprEval::new(flwor_plan(f, 0));
+    let items = expr_eval.eval(expr, interp, env);
+    expr_eval.flush(interp.stats);
+    items
 }
 
 /// The single-threaded pipeline: the exact legacy execution path. When
@@ -228,10 +239,7 @@ pub(crate) fn run_streaming(
     if f.parallel && interp.parallel_ok {
         let threads = crate::resolve_threads(interp.query.threads);
         if threads > 1 {
-            let ClauseIr::For { expr, .. } = &f.clauses[0] else {
-                unreachable!("parallel-eligible FLWOR starts with a for clause");
-            };
-            let items = interp.eval(expr, env)?;
+            let items = eval_outer_for(interp, f, env)?;
             if items.len() > MORSEL {
                 let seq = run_parallel(interp, f, env, items, threads)?;
                 return emit_sequence(&seq, emit);
@@ -777,7 +785,10 @@ impl TupleSource for Filter<'_> {
 // the per-tuple nested loop: SRC is materialized *once per FLWOR
 // execution*, its key atoms bucketed by the canonical-key machinery of
 // `crate::keys`, and each probing tuple does one hash lookup plus an
-// exact verifying comparison per candidate.
+// exact verifying comparison per candidate. A predicate that is a
+// conjunction of equalities (`$y/a = $a and $y/b = $b`) is one
+// composite key: an item is bucketed under every combination of its
+// conjuncts' atoms, and a candidate must match on every conjunct.
 //
 // Output is byte-identical to the nested plan, including errors:
 //
@@ -792,9 +803,10 @@ impl TupleSource for Filter<'_> {
 //   tower, boolean, date, dateTime); within one class `=`/`eq` is
 //   total, across classes it can error. A build side that mixes
 //   classes or raised evaluating any key, and any probing tuple whose
-//   atoms fall outside the build's class, fall back to a literal
-//   nested-loop scan of the materialized items — same values, same
-//   errors, same error order as the nested plan.
+//   atoms fall outside the build's class or whose probe key raised,
+//   fall back to a literal nested-loop scan of the materialized items —
+//   same values, same errors, same error order as the nested plan
+//   (including where `and` short-circuits past a raising conjunct).
 
 /// Comparison classes: `=`/`eq` between two atoms of the same class
 /// never raises, and value equality implies canonical-key equality.
@@ -835,19 +847,62 @@ fn atoms_match(probe: &[AtomicValue], build: &[AtomicValue]) -> bool {
     probe.iter().any(|p| build.iter().any(|b| atom_eq(p, b)))
 }
 
+/// One side of a join key, atomized per conjunct (aligned with
+/// [`JoinIr::keys`]).
+type KeyTuple = Vec<Vec<AtomicValue>>;
+
+/// A composite-key match: every conjunct matches existentially.
+fn keys_match(probe: &KeyTuple, build: &KeyTuple) -> bool {
+    probe.iter().zip(build).all(|(p, b)| atoms_match(p, b))
+}
+
+/// Most bucket keys one composite key tuple may fan out to (the
+/// product of its conjuncts' atom counts). A tuple beyond it takes the
+/// scan path rather than flooding the table; single-conjunct keys are
+/// exempt, as their key count is just their atom count.
+const MAX_COMPOSITE_KEYS: usize = 1024;
+
+fn too_many_combinations(keys: &KeyTuple) -> bool {
+    keys.len() > 1
+        && keys
+            .iter()
+            .try_fold(1usize, |n, atoms| n.checked_mul(atoms.len()))
+            .is_none_or(|n| n > MAX_COMPOSITE_KEYS)
+}
+
+/// Call `f` with every canonical bucket key of a key tuple: the cross
+/// product of the conjuncts' atom keys, each terminated by a separator.
+/// Equal tuples always produce equal strings; the converse may fail
+/// (callers verify candidates with [`keys_match`]). A conjunct without
+/// atoms yields no key — it can never compare equal.
+fn composite_keys(keys: &[Vec<AtomicValue>], scratch: &mut String, f: &mut impl FnMut(&str)) {
+    let Some((atoms, rest)) = keys.split_first() else {
+        f(scratch);
+        return;
+    };
+    let len = scratch.len();
+    for a in atoms {
+        atomic_key(a, scratch);
+        scratch.push('\u{1f}');
+        composite_keys(rest, scratch, f);
+        scratch.truncate(len);
+    }
+}
+
 /// The materialized build side of one hash join.
 struct JoinTable {
     /// SRC items in evaluation order.
     items: Vec<Item>,
-    /// Per item, the atomized key (aligned with `items`; truncated and
-    /// unused when `scan_only`).
-    keys: Vec<Vec<AtomicValue>>,
-    /// Canonical atom key → ascending indices of items carrying it.
+    /// Per item, the atomized key tuple (aligned with `items`;
+    /// truncated and unused when `scan_only`).
+    keys: Vec<KeyTuple>,
+    /// Canonical composite key → ascending indices of items carrying it.
     buckets: HashMap<String, Vec<usize>>,
-    /// Union of every build atom's class bit.
-    classes: u8,
+    /// Per conjunct, the union of every build atom's class bit.
+    classes: Vec<u8>,
     /// Every probe must take the verbatim nested-loop scan: a build key
-    /// raised, or the build atoms span comparison classes.
+    /// raised, a conjunct's build atoms span comparison classes, or an
+    /// item's composite key fans out past [`MAX_COMPOSITE_KEYS`].
     scan_only: bool,
 }
 
@@ -883,77 +938,98 @@ fn join_ir(f: &FlworIr, i: usize) -> Option<&JoinIr> {
     f.joins.get(i).and_then(Option::as_ref)
 }
 
-/// The build key of one item (already bound into the env), atomized
-/// under the comparison's rules: a value comparison admits at most one
-/// atom, a general comparison atomizes the whole sequence.
-fn eval_join_key(
+/// One side (`build` or `probe`) of every conjunct, evaluated against
+/// the current env and atomized under each comparison's rules: a value
+/// comparison admits at most one atom, a general comparison atomizes
+/// the whole sequence. Stops at the first conjunct that raises.
+fn eval_key_tuple(
+    j: &JoinIr,
+    side: fn(&JoinKeyIr) -> &Ir,
+    interp: &Interpreter,
+    env: &mut Env,
+) -> EngineResult<KeyTuple> {
+    j.keys
+        .iter()
+        .map(|k| {
+            let seq = interp.eval(side(k), env)?;
+            if k.value_comp {
+                Ok(opt_atomic(&seq, "value comparison")?.into_iter().collect())
+            } else {
+                Ok(seq.iter().map(Item::atomize).collect())
+            }
+        })
+        .collect()
+}
+
+/// A run of build items keyed and bucketed (with global indices): the
+/// unit of work of the serial build and of each parallel build worker.
+struct KeyedItems {
+    keys: Vec<KeyTuple>,
+    buckets: HashMap<String, Vec<usize>>,
+    classes: Vec<u8>,
+    /// Keying stopped early: the table must be scan-only. A key that
+    /// raises does not surface here — whether and when it would have in
+    /// the nested plan depends on the probe (a `some` stops at its
+    /// first preceding match, an `and` at its first false conjunct), so
+    /// the per-probe scan re-raises it at exactly the nested position.
+    scan_only: bool,
+}
+
+/// Key, classify and bucket `items`, whose first element has global
+/// index `base`.
+fn key_items(
     j: &JoinIr,
     interp: &Interpreter,
     env: &mut Env,
-) -> EngineResult<Vec<AtomicValue>> {
-    let seq = interp.eval(&j.build_key, env)?;
-    if j.value_comp {
-        Ok(opt_atomic(&seq, "value comparison")?.into_iter().collect())
-    } else {
-        Ok(seq.iter().map(Item::atomize).collect())
-    }
-}
-
-/// Evaluate SRC and materialize the build table (serial form).
-fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinTable> {
-    let src = interp.eval(&j.build_src, env)?;
-    build_join_table_from(j, interp, env, src.into_iter().collect())
-}
-
-/// Key, classify and bucket already-materialized SRC items. A key that
-/// raises does not surface here: whether and when it would have in the
-/// nested plan depends on the probe (a `some` stops at its first
-/// preceding match), so the table just degrades to scan-only and the
-/// per-probe scan re-raises it at exactly the nested position.
-fn build_join_table_from(
-    j: &JoinIr,
-    interp: &Interpreter,
-    env: &mut Env,
-    items: Vec<Item>,
-) -> EngineResult<JoinTable> {
-    let mut table = JoinTable {
+    items: &[Item],
+    base: usize,
+) -> KeyedItems {
+    let mut out = KeyedItems {
         keys: Vec::with_capacity(items.len()),
-        items,
         buckets: HashMap::new(),
-        classes: 0,
+        classes: vec![0; j.keys.len()],
         scan_only: false,
     };
     let mut scratch = String::new();
-    for (idx, item) in table.items.iter().enumerate() {
+    for (off, item) in items.iter().enumerate() {
         env.slots[j.build_slot] = Sequence::One(item.clone());
-        let Ok(atoms) = eval_join_key(j, interp, env) else {
-            table.scan_only = true;
-            break;
+        let keys = match eval_key_tuple(j, |k| &k.build, interp, env) {
+            Ok(keys) if !too_many_combinations(&keys) => keys,
+            _ => {
+                out.scan_only = true;
+                break;
+            }
         };
-        for a in &atoms {
-            table.classes |= atom_class(a);
-            scratch.clear();
-            atomic_key(a, &mut scratch);
-            let bucket = table.buckets.entry(scratch.clone()).or_default();
-            if bucket.last() != Some(&idx) {
-                bucket.push(idx);
+        for (class, atoms) in out.classes.iter_mut().zip(&keys) {
+            for a in atoms {
+                *class |= atom_class(a);
             }
         }
-        table.keys.push(atoms);
+        let idx = base + off;
+        composite_keys(
+            &keys,
+            &mut scratch,
+            &mut |key| match out.buckets.get_mut(key) {
+                // One item may produce the same composite key twice; its
+                // index is pushed once.
+                Some(bucket) if bucket.last() == Some(&idx) => {}
+                Some(bucket) => bucket.push(idx),
+                None => {
+                    out.buckets.insert(key.to_owned(), vec![idx]);
+                }
+            },
+        );
+        out.keys.push(keys);
     }
-    if table.classes.count_ones() > 1 {
-        table.scan_only = true;
-    }
-    interp.stats.add_join_build_tuples(table.items.len() as u64);
-    Ok(table)
+    out
 }
 
-/// Morsel-partitioned build for the parallel pre-build: SRC items are
-/// chunked across scoped worker threads that atomize keys and bucket
-/// their chunk (global indices), then the per-chunk buckets merge in
-/// chunk order — per-key index lists stay ascending, so probe results
-/// are identical to the serial build.
-fn build_join_table_parallel(
+/// Evaluate SRC and materialize the build table. With `threads > 1`
+/// and more than one morsel of items, the items are chunked across
+/// scoped worker threads that key their chunk, then the chunks merge
+/// in order — per-key index lists stay ascending, so probe results are
+/// identical to the serial build.
+fn build_join_table(
     j: &JoinIr,
     interp: &Interpreter,
     env: &mut Env,
@@ -961,123 +1037,105 @@ fn build_join_table_parallel(
 ) -> EngineResult<JoinTable> {
     let src = interp.eval(&j.build_src, env)?;
     let items: Vec<Item> = src.into_iter().collect();
-    if threads <= 1 || items.len() <= MORSEL {
-        return build_join_table_from(j, interp, env, items);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let chunks: Vec<(usize, &[Item])> = items
-        .chunks(chunk)
-        .enumerate()
-        .map(|(ci, c)| (ci * chunk, c))
-        .collect();
-    let worker_stats: Vec<EvalStats> = (0..chunks.len()).map(|_| EvalStats::default()).collect();
-    type ChunkPart = (Vec<Vec<AtomicValue>>, HashMap<String, Vec<usize>>, u8, bool);
-    let mut parts: Vec<ChunkPart> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        for (ws, (base, chunk_items)) in worker_stats.iter().zip(&chunks) {
-            let winterp = interp.fork(ws);
-            let wslots = env.slots.clone();
-            let wfocus = env.focus.clone();
-            let (base, chunk_items) = (*base, *chunk_items);
-            handles.push(s.spawn(move || {
-                let mut wenv = Env {
-                    slots: wslots,
-                    focus: wfocus,
-                };
-                let mut keys: Vec<Vec<AtomicValue>> = Vec::with_capacity(chunk_items.len());
-                let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-                let mut classes = 0u8;
-                let mut scratch = String::new();
-                for (off, item) in chunk_items.iter().enumerate() {
-                    wenv.slots[j.build_slot] = Sequence::One(item.clone());
-                    let Ok(atoms) = eval_join_key(j, &winterp, &mut wenv) else {
-                        return (keys, buckets, classes, true);
+    let parts = if threads <= 1 || items.len() <= MORSEL {
+        vec![key_items(j, interp, env, &items, 0)]
+    } else {
+        let chunk = items.len().div_ceil(threads);
+        let worker_stats: Vec<EvalStats> = (0..items.len().div_ceil(chunk))
+            .map(|_| EvalStats::default())
+            .collect();
+        let parts = std::thread::scope(|s| {
+            let handles: Vec<_> = items
+                .chunks(chunk)
+                .zip(&worker_stats)
+                .enumerate()
+                .map(|(ci, (chunk_items, ws))| {
+                    let winterp = interp.fork(ws);
+                    let mut wenv = Env {
+                        slots: env.slots.clone(),
+                        focus: env.focus.clone(),
                     };
-                    for a in &atoms {
-                        classes |= atom_class(a);
-                        scratch.clear();
-                        atomic_key(a, &mut scratch);
-                        let bucket = buckets.entry(scratch.clone()).or_default();
-                        if bucket.last() != Some(&(base + off)) {
-                            bucket.push(base + off);
-                        }
-                    }
-                    keys.push(atoms);
-                }
-                (keys, buckets, classes, false)
-            }));
+                    s.spawn(move || key_items(j, &winterp, &mut wenv, chunk_items, ci * chunk))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join build worker panicked"))
+                .collect()
+        });
+        for ws in &worker_stats {
+            interp.stats.add_snapshot(&ws.snapshot());
         }
-        for h in handles {
-            parts.push(h.join().expect("join build worker panicked"));
-        }
-    });
-    for ws in &worker_stats {
-        interp.stats.add_snapshot(&ws.snapshot());
-    }
+        parts
+    };
     let mut table = JoinTable {
         keys: Vec::with_capacity(items.len()),
         items,
         buckets: HashMap::new(),
-        classes: 0,
+        classes: vec![0; j.keys.len()],
         scan_only: false,
     };
-    for (keys, buckets, classes, raised) in parts {
-        table.classes |= classes;
-        table.keys.extend(keys);
-        for (key, idxs) in buckets {
-            table.buckets.entry(key).or_default().extend(idxs);
+    for part in parts {
+        for (class, c) in table.classes.iter_mut().zip(&part.classes) {
+            *class |= c;
         }
-        if raised {
+        table.keys.extend(part.keys);
+        if table.buckets.is_empty() {
+            table.buckets = part.buckets;
+        } else {
+            for (key, idxs) in part.buckets {
+                table.buckets.entry(key).or_default().extend(idxs);
+            }
+        }
+        if part.scan_only {
             // Scan-only regardless of which chunk noticed first: the
             // flag depends only on the (deterministic) key values.
             table.scan_only = true;
             break;
         }
     }
-    if table.classes.count_ones() > 1 {
+    if table.classes.iter().any(|c| c.count_ones() > 1) {
         table.scan_only = true;
     }
     interp.stats.add_join_build_tuples(table.items.len() as u64);
     Ok(table)
 }
 
-/// The probe key's atoms for the current tuple, or `None` when this
-/// tuple must take the fallback scan (an atom outside the build class
-/// means a real pair comparison could raise).
-fn probe_atoms(
+/// The probe key tuple for the current tuple, or `None` when this
+/// tuple must take the fallback scan: the table is scan-only, a probe
+/// key raised (the nested plan raises it only if it is ever compared —
+/// the scan replays exactly that), an atom falls outside its
+/// conjunct's build class (a real pair comparison could raise), or the
+/// composite key fans out past [`MAX_COMPOSITE_KEYS`].
+fn probe_keys(
     j: &JoinIr,
     table: &JoinTable,
     interp: &Interpreter,
     env: &mut Env,
-) -> EngineResult<Option<Vec<AtomicValue>>> {
-    let seq = interp.eval(&j.probe_key, env)?;
-    let atoms: Vec<AtomicValue> = if j.value_comp {
-        opt_atomic(&seq, "value comparison")?.into_iter().collect()
-    } else {
-        seq.iter().map(Item::atomize).collect()
-    };
-    // An all-empty build side (classes == 0) can never pair with
-    // anything: no comparison happens, so any probe is safe (and
-    // matches nothing).
-    if table.classes != 0 && atoms.iter().any(|a| atom_class(a) != table.classes) {
-        return Ok(None);
+) -> Option<KeyTuple> {
+    if table.scan_only {
+        return None;
     }
-    Ok(Some(atoms))
+    let keys = eval_key_tuple(j, |k| &k.probe, interp, env).ok()?;
+    // A conjunct whose build atoms are all empty (class 0) can never
+    // pair with anything: no comparison happens, so any probe atom is
+    // safe there (and matches nothing).
+    let in_class = keys
+        .iter()
+        .zip(&table.classes)
+        .all(|(atoms, &class)| class == 0 || atoms.iter().all(|a| atom_class(a) == class));
+    (in_class && !too_many_combinations(&keys)).then_some(keys)
 }
 
-/// Candidate build indices for a probe: the union of its atoms'
-/// buckets, ascending (build order) and deduplicated.
-fn join_candidates(table: &JoinTable, atoms: &[AtomicValue]) -> Vec<usize> {
-    let mut scratch = String::new();
+/// Candidate build indices for a probe: the union of its composite
+/// keys' buckets, ascending (build order) and deduplicated.
+fn join_candidates(table: &JoinTable, keys: &KeyTuple) -> Vec<usize> {
     let mut cands: Vec<usize> = Vec::new();
-    for a in atoms {
-        scratch.clear();
-        atomic_key(a, &mut scratch);
-        if let Some(bucket) = table.buckets.get(scratch.as_str()) {
+    composite_keys(keys, &mut String::new(), &mut |key| {
+        if let Some(bucket) = table.buckets.get(key) {
             cands.extend_from_slice(bucket);
         }
-    }
+    });
     cands.sort_unstable();
     cands.dedup();
     cands
@@ -1095,16 +1153,13 @@ fn probe_let(
         // probe-side expression.
         return Ok(Sequence::Empty);
     }
-    if table.scan_only {
-        return scan_let(j, table, interp, env);
-    }
-    let Some(atoms) = probe_atoms(j, table, interp, env)? else {
+    let Some(keys) = probe_keys(j, table, interp, env) else {
         return scan_let(j, table, interp, env);
     };
     interp.stats.add_join_hash_probes(1);
     let mut out = SequenceBuilder::new();
-    for idx in join_candidates(table, &atoms) {
-        if atoms_match(&atoms, &table.keys[idx]) {
+    for idx in join_candidates(table, &keys) {
+        if keys_match(&keys, &table.keys[idx]) {
             out.push(table.items[idx].clone());
         }
     }
@@ -1121,16 +1176,13 @@ fn probe_semi(
     if table.items.is_empty() {
         return Ok(false);
     }
-    if table.scan_only {
-        return scan_semi(j, table, interp, env);
-    }
-    let Some(atoms) = probe_atoms(j, table, interp, env)? else {
+    let Some(keys) = probe_keys(j, table, interp, env) else {
         return scan_semi(j, table, interp, env);
     };
     interp.stats.add_join_hash_probes(1);
-    Ok(join_candidates(table, &atoms)
+    Ok(join_candidates(table, &keys)
         .into_iter()
-        .any(|idx| atoms_match(&atoms, &table.keys[idx])))
+        .any(|idx| keys_match(&keys, &table.keys[idx])))
 }
 
 /// Verbatim replay of the nested `for $y in SRC where pred return $y`
@@ -1191,7 +1243,7 @@ impl HashJoin<'_> {
         }
         let built = self
             .cell
-            .get_or_init(|| build_join_table(self.j, interp, env).map(Arc::new))
+            .get_or_init(|| build_join_table(self.j, interp, env, 1).map(Arc::new))
             .clone()?;
         self.table = Some(Arc::clone(&built));
         Ok(built)
@@ -1816,7 +1868,7 @@ fn run_parallel(
     if let Some(j) = join_ir(f, 1) {
         if matches!(&f.clauses[0], ClauseIr::For { ty: None, .. }) {
             if let Some(cell) = cells[1].as_ref() {
-                let built = build_join_table_parallel(j, interp, env, threads).map(Arc::new);
+                let built = build_join_table(j, interp, env, threads).map(Arc::new);
                 let _ = cell.set(built);
             }
         }

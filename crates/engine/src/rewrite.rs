@@ -885,16 +885,22 @@ fn match_value_eq_predicate(
 /// 2. **Semi-join** — `where some $y in S satisfies <eq>`, a single
 ///    existential binding used as a filter.
 ///
-/// In both, `<eq>` must be one `=` or `eq` comparison with exactly one
-/// operand referencing `$y`; that side (the build key) may reference no
-/// other slot the enclosing FLWOR binds, and the build source `S` must
+/// In both, `<eq>` must be one `=` or `eq` comparison, or an `and` tree
+/// whose every leaf is one — a conjunction of equalities forms one
+/// composite equi-join key, as in Table 1's two-key `Q` (`$i/a = $a and
+/// $i/b = $b`). Each comparison must have exactly one operand
+/// referencing `$y`; that side (the build key) may reference no other
+/// slot the enclosing FLWOR binds, and the build source `S` must
 /// be independent of every enclosing binding so it is sound to evaluate
 /// once per FLWOR execution. `S` must also be free of node constructors
 /// and user-function calls: the nested-loop plan constructs fresh nodes
 /// per outer tuple, and sharing one materialization would change node
 /// identity (constructors) or is too opaque to prove repeat-safe
 /// (recursion). The probe side may be anything — it is (re)evaluated
-/// per tuple either way.
+/// per tuple either way. A composite key evaluates every conjunct's
+/// probe side up front; one that raises sends that tuple to the
+/// verbatim scan, which raises exactly where the nested `and` would
+/// (or not at all, when no earlier conjunct ever matches).
 ///
 /// The clause's original IR is left untouched; the annotation only
 /// flips its plan operator, so `--join nested` and the runtime's
@@ -1013,6 +1019,10 @@ fn flwor_bound_slots(f: &crate::ir::FlworIr) -> std::collections::HashSet<crate:
     bound
 }
 
+/// Match one clause against the let- and semi-join shapes of
+/// [`detect_join_unnest`]. The inner predicate may be one equality or
+/// an `and` tree of them; every leaf must pass [`split_eq_pred`], and
+/// the leaves, left to right, become the composite key's conjuncts.
 fn match_join_clause(
     clause: &crate::ir::ClauseIr,
     bound: &std::collections::HashSet<crate::ir::Slot>,
@@ -1062,7 +1072,10 @@ fn match_join_clause(
     if !rebuild_safe(src) || refs_any_slot(src, bound) {
         return None;
     }
-    let (build_key, probe_key, probe_is_lhs, value_comp) = split_eq_pred(pred, y, bound)?;
+    let keys = conjuncts(pred)
+        .into_iter()
+        .map(|leaf| split_eq_pred(leaf, y, bound))
+        .collect::<Option<Vec<_>>>()?;
     if mode == crate::JoinMode::Auto {
         if let Some(est) = crate::estimate::source_cardinality(src, stats) {
             if est > crate::MAX_HASH_BUILD_ROWS {
@@ -1070,33 +1083,40 @@ fn match_join_clause(
             }
         }
     }
-    let op = if value_comp { "eq" } else { "=" };
-    let key_desc = format!(
-        "key={} {op} {}",
-        expr_oneline(probe_key),
-        expr_oneline(build_key)
-    );
+    let key_desc = join_key_desc(&keys);
     Some(crate::ir::JoinIr {
         kind,
         build_slot: y,
         build_src: src.clone(),
         pred: pred.clone(),
-        build_key: build_key.clone(),
-        probe_key: probe_key.clone(),
-        probe_is_lhs,
-        value_comp,
+        keys,
         key_desc,
     })
 }
 
-/// Split a single `=` / `eq` comparison into (build side referencing
-/// `$y` and nothing else the enclosing FLWOR binds, probe side not
-/// referencing `$y`). Conjunctions and every other operator decline.
-fn split_eq_pred<'a>(
-    pred: &'a crate::ir::Ir,
+/// The leaves of an `and` tree, left to right — the order `and`
+/// evaluates (and short-circuits) them in. Any other predicate is a
+/// single leaf.
+fn conjuncts(pred: &crate::ir::Ir) -> Vec<&crate::ir::Ir> {
+    match pred {
+        crate::ir::Ir::And(a, b) => {
+            let mut leaves = conjuncts(a);
+            leaves.extend(conjuncts(b));
+            leaves
+        }
+        leaf => vec![leaf],
+    }
+}
+
+/// Split one `=` / `eq` conjunct into a join key: the build side
+/// references `$y` and nothing else the enclosing FLWOR binds, the
+/// probe side does not reference `$y`. Every other operator declines —
+/// and one declined conjunct declines the whole predicate.
+fn split_eq_pred(
+    pred: &crate::ir::Ir,
     y: crate::ir::Slot,
     bound: &std::collections::HashSet<crate::ir::Slot>,
-) -> Option<(&'a crate::ir::Ir, &'a crate::ir::Ir, bool, bool)> {
+) -> Option<crate::ir::JoinKeyIr> {
     use crate::ir::Ir;
     use xqa_xdm::CompOp;
     let (a, b, value_comp) = match pred {
@@ -1105,16 +1125,47 @@ fn split_eq_pred<'a>(
         _ => return None,
     };
     let y_only = std::collections::HashSet::from([y]);
-    let (build, probe, probe_is_lhs) = match (refs_any_slot(a, &y_only), refs_any_slot(b, &y_only))
-    {
-        (true, false) => (a, b, false),
-        (false, true) => (b, a, true),
+    let (build, probe) = match (refs_any_slot(a, &y_only), refs_any_slot(b, &y_only)) {
+        (true, false) => (a, b),
+        (false, true) => (b, a),
         _ => return None,
     };
     if refs_any_slot(build, bound) {
         return None;
     }
-    Some((build, probe, probe_is_lhs, value_comp))
+    Some(crate::ir::JoinKeyIr {
+        build: build.clone(),
+        probe: probe.clone(),
+        value_comp,
+    })
+}
+
+/// `key=PROBE op BUILD` for one conjunct; a composite key renders its
+/// sides as tuples, `key=(P1, P2) op (B1, B2)`, when every conjunct uses
+/// the same operator, and as `P1 op1 B1 and P2 op2 B2` otherwise.
+fn join_key_desc(keys: &[crate::ir::JoinKeyIr]) -> String {
+    use crate::ir::{Ir, JoinKeyIr};
+    let op = |k: &JoinKeyIr| if k.value_comp { "eq" } else { "=" };
+    match keys {
+        [first, _, ..] if keys.iter().all(|k| op(k) == op(first)) => {
+            let side = |pick: fn(&JoinKeyIr) -> &Ir| {
+                let parts: Vec<String> = keys.iter().map(|k| expr_oneline(pick(k))).collect();
+                parts.join(", ")
+            };
+            let (probe, build) = (side(|k| &k.probe), side(|k| &k.build));
+            format!("key=({probe}) {} ({build})", op(first))
+        }
+        _ => {
+            let conjuncts: Vec<String> = keys
+                .iter()
+                .map(|k| {
+                    let (probe, build) = (expr_oneline(&k.probe), expr_oneline(&k.build));
+                    format!("{probe} {} {build}", op(k))
+                })
+                .collect();
+            format!("key={}", conjuncts.join(" and "))
+        }
+    }
 }
 
 /// Does the expression reference any of the given frame slots? Slot

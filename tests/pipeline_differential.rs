@@ -895,8 +895,9 @@ fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
 
 /// Joinable shapes over the orders document: the paper's §6 self-join
 /// baseline, `eq` and reversed-operand variants, a numeric key, the
-/// existential semi-join, and a join feeding a top-k ranking pipeline.
-const JOIN_CORPUS: [&str; 6] = [
+/// existential semi-join, a join feeding a top-k ranking pipeline, and
+/// Table 1's two-key `Q` (a conjunctive, composite-key join).
+const JOIN_CORPUS: [&str; 7] = [
     "for $m in distinct-values(//order/lineitem/shipmode) \
          let $items := for $li in //order/lineitem where $li/shipmode = $m return $li \
          order by string($m) \
@@ -922,6 +923,12 @@ const JOIN_CORPUS: [&str; 6] = [
           order by count($items) descending, string($m) \
           return at $r <g rank=\"{$r}\">{string($m)}:{count($items)}</g>)\
          [position() le 3]",
+    "for $a in distinct-values(//order/lineitem/shipinstruct), \
+             $b in distinct-values(//order/lineitem/shipmode) \
+         let $items := for $i in //order/lineitem \
+                       where $i/shipinstruct = $a and $i/shipmode = $b return $i \
+         where exists($items) \
+         return <r>{$a, $b, count($items)}</r>",
 ];
 
 #[test]
@@ -932,24 +939,29 @@ fn join_corpus_differential() {
     }
 }
 
-/// Large document-free shapes where the probe side (and in one case the
+/// Large document-free shapes where the probe side (and in some the
 /// build side) splits into multiple morsels, exercising the shared
 /// build cell, the eager parallel pre-build, and per-worker probing.
-#[test]
-fn join_large_morsel_differential() {
-    let corpus = [
-        "for $x in 1 to 3000 \
+const JOIN_LARGE_CORPUS: [&str; 4] = [
+    "for $x in 1 to 3000 \
          let $m := for $y in (2, 4, 6, 8) where $y = $x mod 10 return $y \
          return <r>{$x}:{count($m)}</r>",
-        "for $x in 1 to 1200 \
+    "for $x in 1 to 1200 \
          let $m := for $y in 1 to 3000 where $y = $x * 2 return $y \
          return count($m)",
-        "for $x in 1 to 3000 \
+    "for $x in 1 to 3000 \
          where some $y in (3, 5, 7) satisfies $y = $x mod 11 \
          return $x",
-    ];
+    "for $x in 1 to 3000 \
+         let $m := for $y in 1 to 2000 \
+                   where $y mod 7 = $x mod 7 and $y mod 5 eq $x mod 3 return $y \
+         return <r>{$x}:{count($m)}:{$m[1]}</r>",
+];
+
+#[test]
+fn join_large_morsel_differential() {
     let ctx = DynamicContext::new();
-    for query in corpus {
+    for query in JOIN_LARGE_CORPUS {
         assert_join_modes_identical(query, &ctx);
     }
 }
@@ -1026,4 +1038,59 @@ fn mixed_query_counts_compiled_and_fallback() {
         after.expr_fallback > before.expr_fallback,
         "the path-valued for and function-calling let must fall back"
     );
+}
+
+// ---- DOP-invariant counters ---------------------------------------------
+
+/// One counter from an `EvalStatsSnapshot::to_json` object — the
+/// rendering `xqa --stats-json` prints.
+fn json_counter(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let start = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} missing: {json}"))
+        + key.len();
+    json[start..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{name} is not a number: {json}"))
+}
+
+/// The evaluation and join counters `--stats-json` reports do not
+/// depend on the degree of parallelism: every query of the corpora
+/// above, run from a fresh context with joins forced to hash, reports
+/// the same `expr_compiled`, `expr_fallback` and `join_hash_probes` at
+/// threads 1, 2 and 4.
+#[test]
+fn counters_are_equal_across_thread_counts() {
+    let corpus = ORDERS_CORPUS
+        .iter()
+        .chain(&JOIN_CORPUS)
+        .map(|q| (*q, true))
+        .chain(
+            PLAIN_CORPUS
+                .iter()
+                .chain(&JOIN_LARGE_CORPUS)
+                .map(|q| (*q, false)),
+        );
+    for (query, orders) in corpus {
+        let counters = [1usize, 2, 4].map(|threads| {
+            let ctx = if orders {
+                orders_ctx()
+            } else {
+                DynamicContext::new()
+            };
+            engine_with_join(xqa::JoinMode::Hash, threads)
+                .compile(query)
+                .unwrap_or_else(|e| panic!("compile (threads={threads}): {e}\n{query}"))
+                .run(&ctx)
+                .unwrap_or_else(|e| panic!("run (threads={threads}): {e}\n{query}"));
+            let json = ctx.stats.snapshot().to_json();
+            ["expr_compiled", "expr_fallback", "join_hash_probes"]
+                .map(|name| (name, json_counter(&json, name)))
+        });
+        assert_eq!(counters[0], counters[1], "threads=1 vs 2 for:\n{query}");
+        assert_eq!(counters[0], counters[2], "threads=1 vs 4 for:\n{query}");
+    }
 }
