@@ -22,18 +22,14 @@ use xqa_bench::harness::Harness;
 /// Item counts for the `1 to N` sweeps.
 const SIZES: [usize; 3] = [10_000, 50_000, 100_000];
 
-/// Serial engines: one expression-evaluation mode apiece, threads
-/// pinned to 1 so the measurement isolates per-tuple evaluation cost
-/// from morsel scheduling.
+/// One engine per expression-evaluation mode.
 fn engines() -> (Engine, Engine) {
     let bytecode = Engine::with_options(EngineOptions {
         expr_eval: ExprEvalMode::Bytecode,
-        threads: 1,
         ..Default::default()
     });
     let tree = Engine::with_options(EngineOptions {
         expr_eval: ExprEvalMode::Tree,
-        threads: 1,
         ..Default::default()
     });
     (bytecode, tree)

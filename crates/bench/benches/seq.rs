@@ -12,11 +12,8 @@
 //!   copy there, so the baseline is the sum of the two counters);
 //! - `reduction_pct` — the headline claim: how much of the baseline
 //!   copying the sharing eliminated.
-//!
-//! Counter measurement runs at threads=1 so the recorded numbers are
-//! deterministic; the timed loops run at the harness default.
 
-use xqa::{Engine, EngineOptions};
+use xqa::Engine;
 use xqa_bench::harness::Harness;
 use xqa_bench::Dataset;
 
@@ -51,12 +48,9 @@ fn group_rebind_query() -> &'static str {
      return <g>{string($m)}:{count($again)}</g>"
 }
 
-/// One deterministic threads=1 run, returning the copy-counter deltas.
+/// One run, returning the copy-counter deltas.
 fn measure_counters(query: &str, dataset: &Dataset) -> (u64, u64) {
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let plan = engine.compile(query).expect("compiles");
     let ctx = dataset.context();
     let before = ctx.stats.snapshot();

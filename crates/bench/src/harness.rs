@@ -18,30 +18,18 @@ const BUDGET: Duration = Duration::from_millis(500);
 /// A named group of benchmarks, printed as a table.
 pub struct Harness {
     group: String,
-    /// Intra-query thread count recorded with each measurement, so
-    /// `BENCH_*.json` figures are comparable across parallelism levels.
-    threads: usize,
     /// Annotations attached to the next recorded measurement.
     pending: Vec<(String, String)>,
 }
 
 impl Harness {
-    /// Start a group (prints its header). Measurements record the
-    /// resolved default intra-query thread count until
-    /// [`Harness::set_threads`] overrides it.
+    /// Start a group (prints its header).
     pub fn group(name: &str) -> Harness {
         println!("\n== {name} ==");
         Harness {
             group: name.to_string(),
-            threads: xqa::resolve_threads(0),
             pending: Vec::new(),
         }
-    }
-
-    /// Record subsequent measurements as running with `threads`
-    /// intra-query threads (for benches that sweep the thread count).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Attach an already-serialized JSON value under `key` to the next
@@ -69,7 +57,6 @@ impl Harness {
             mean_ns: 0,
             min_ns: 0,
             iters: 0,
-            threads: self.threads,
             profile_json: None,
             extra: std::mem::take(&mut self.pending),
         });
@@ -113,7 +100,6 @@ impl Harness {
             mean_ns: mean.as_nanos(),
             min_ns: min.as_nanos(),
             iters,
-            threads: self.threads,
             profile_json,
             extra: std::mem::take(&mut self.pending),
         });
@@ -128,8 +114,6 @@ struct Record {
     mean_ns: u128,
     min_ns: u128,
     iters: u32,
-    /// Intra-query thread count the measurement ran with.
-    threads: usize,
     /// Pre-serialized JSON object with per-operator profile numbers.
     profile_json: Option<String>,
     /// Extra pre-serialized `(key, json)` annotations.
@@ -171,15 +155,16 @@ pub fn write_json(path: &str) -> std::io::Result<()> {
         if i > 0 {
             out.push_str(",\n");
         }
+        // Queries run single-threaded; `threads` stays a constant so the
+        // records keep the committed `BENCH_*.json` schema.
         out.push_str(&format!(
             "  {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ns\": {}, \
-             \"min_ns\": {}, \"iters\": {}, \"threads\": {}",
+             \"min_ns\": {}, \"iters\": {}, \"threads\": 1",
             escape(&r.group),
             escape(&r.name),
             r.mean_ns,
             r.min_ns,
             r.iters,
-            r.threads
         ));
         if let Some(profile) = &r.profile_json {
             // Already-valid JSON, inserted verbatim.

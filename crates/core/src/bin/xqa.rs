@@ -17,8 +17,6 @@
 //!                               q-errors, trace events) to FILE
 //!       --deterministic-clock   profile with a fixed-tick clock (for tests)
 //!       --detect-groupby        enable the implicit group-by rewrite
-//!       --threads N             intra-query parallelism (default: all cores;
-//!                               1 = serial)
 //!       --expr-eval MODE        scalar expression evaluation: auto | bytecode
 //!                               | tree (default auto)
 //!       --join MODE             joinable nested-FLWOR execution: auto | hash
@@ -32,8 +30,6 @@
 //!       --doc NAME=FILE         as above
 //!       --collection NAME=F,..  as above
 //!       --workers N             worker threads (default: one per core)
-//!       --query-threads N       intra-query parallelism per request
-//!                               (default: all cores; 1 = serial)
 //!       --cache-size N          prepared-plan cache capacity (default 128)
 //!       --max-queue N           admitted connections allowed to wait for a
 //!                               worker; excess shed with 429 (default 128)
@@ -84,7 +80,6 @@ struct Args {
     diag_json: Option<String>,
     deterministic_clock: bool,
     detect_groupby: bool,
-    threads: usize,
     access_path: AccessPathMode,
     expr_eval: ExprEvalMode,
     join: JoinMode,
@@ -115,9 +110,6 @@ options:
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --detect-groupby      enable the implicit group-by detection rewrite
-      --threads N           intra-query parallelism: worker threads for
-                            eligible FLWORs (default: all cores, or
-                            XQA_THREADS; 1 = serial)
       --access-path MODE    scan access path: auto (statistics decide),
                             walk (always tree-walk), index (force index
                             scans); default auto, overridable with
@@ -134,8 +126,6 @@ options:
 serve options:
       --addr HOST:PORT      bind address (default 127.0.0.1:8399)
       --workers N           worker threads (default: one per core)
-      --query-threads N     intra-query parallelism per request (default:
-                            all cores, or XQA_THREADS; 1 = serial)
       --cache-size N        prepared-plan cache capacity (default 128)
       --max-queue N         admitted connections allowed to wait for a
                             worker beyond the workers themselves; excess
@@ -195,7 +185,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         diag_json: None,
         deterministic_clock: false,
         detect_groupby: false,
-        threads: 0,
         access_path: AccessPathMode::Auto,
         expr_eval: ExprEvalMode::Auto,
         join: JoinMode::Auto,
@@ -234,13 +223,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--deterministic-clock" => args.deterministic_clock = true,
             "--detect-groupby" => args.detect_groupby = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads requires a number")?;
-                args.threads = n.parse().map_err(|_| format!("invalid thread count {n}"))?;
-                if args.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
             "--access-path" => {
                 let mode = it.next().ok_or("--access-path requires a mode")?;
                 args.access_path = AccessPathMode::parse(&mode)
@@ -327,7 +309,6 @@ fn run(args: &Args) -> Result<(), String> {
     ));
     let engine = Engine::with_options(EngineOptions {
         detect_implicit_groupby: args.detect_groupby,
-        threads: args.threads,
         access_path: args.access_path,
         expr_eval: args.expr_eval,
         join: args.join,
@@ -428,7 +409,6 @@ struct ServeArgs {
     docs: Vec<(String, String)>,
     collections: Vec<(String, Vec<String>)>,
     workers: usize,
-    query_threads: usize,
     cache_size: usize,
     max_queue: usize,
     max_inflight_per_client: usize,
@@ -448,7 +428,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
         docs: Vec::new(),
         collections: Vec::new(),
         workers: 0,
-        query_threads: 0,
         cache_size: 128,
         max_queue: ServiceConfig::default().max_queue,
         max_inflight_per_client: ServiceConfig::default().max_inflight_per_client,
@@ -483,13 +462,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
             "--workers" => {
                 let n = it.next().ok_or("--workers requires a number")?;
                 args.workers = n.parse().map_err(|_| format!("invalid worker count {n}"))?;
-            }
-            "--query-threads" => {
-                let n = it.next().ok_or("--query-threads requires a number")?;
-                args.query_threads = n.parse().map_err(|_| format!("invalid thread count {n}"))?;
-                if args.query_threads == 0 {
-                    return Err("--query-threads must be at least 1".to_string());
-                }
             }
             "--cache-size" => {
                 let n = it.next().ok_or("--cache-size requires a number")?;
@@ -572,7 +544,6 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         plan_cache_capacity: args.cache_size,
         engine_options: EngineOptions {
             detect_implicit_groupby: args.detect_groupby,
-            threads: args.query_threads,
             access_path: args.access_path,
             expr_eval: args.expr_eval,
             join: args.join,

@@ -116,7 +116,7 @@ impl ExprProgram {
         env: &Env,
         regs: &mut [Sequence],
     ) -> EngineResult<Sequence> {
-        let stats = interp.stats;
+        let stats = &interp.dynamic.stats;
         let mut pc = 0;
         while pc < self.ops.len() {
             match &self.ops[pc] {

@@ -56,7 +56,6 @@ pub fn compile(module: &ast::Module) -> EngineResult<ir::CompiledQuery> {
         body,
         frame_size: c.frame.max_slots,
         ordered: module.prolog.ordering != Some(ast::OrderingMode::Unordered),
-        threads: 1,
     })
 }
 
@@ -574,13 +573,11 @@ impl Compiler {
         }
         self.frame.truncate(flwor_mark);
         let plan = ir::plan_pipeline(&clauses);
-        let parallel = ir::parallel_eligible(&clauses);
         Ok(Ir::Flwor(Box::new(ir::FlworIr {
             clauses,
             plan,
             return_at,
             return_expr,
-            parallel,
             // Filled by the engine's expression-compilation,
             // cardinality-estimation and join-unnesting passes after
             // all IR rewrites.

@@ -27,7 +27,7 @@ const MAX_RECURSION: usize = 64;
 
 /// Execute a compiled query against a dynamic context.
 pub fn execute(query: &CompiledQuery, dynamic: &DynamicContext) -> EngineResult<Sequence> {
-    with_run_accounting(dynamic, || execute_inner(query, dynamic))
+    run_query(query, dynamic, |interp, env| interp.eval(&query.body, env))
 }
 
 /// Streaming twin of [`execute`]: instead of materializing the result,
@@ -40,14 +40,32 @@ pub fn execute_streaming(
     dynamic: &DynamicContext,
     emit: &mut dyn FnMut(&[Item]) -> EngineResult<()>,
 ) -> EngineResult<u64> {
+    run_query(query, dynamic, |interp, env| match &query.body {
+        // A FLWOR body streams straight off the pipeline sink.
+        Ir::Flwor(f) => crate::pipeline::run_streaming(interp, f, env, emit),
+        // Any other body shape materializes (there is no tuple
+        // pipeline to tap), then feeds out in batches.
+        body => {
+            let seq = interp.eval(body, env)?;
+            crate::pipeline::emit_sequence(&seq, emit)
+        }
+    })
+}
+
+/// Evaluate the query's globals, then run `body` against the main
+/// frame: the part of a run the materializing and streaming paths
+/// share.
+fn run_query<T>(
+    query: &CompiledQuery,
+    dynamic: &DynamicContext,
+    body: impl FnOnce(&Interpreter, &mut Env) -> EngineResult<T>,
+) -> EngineResult<T> {
     with_run_accounting(dynamic, || {
         let mut interp = Interpreter {
             query,
             dynamic,
             globals: Vec::new(),
             depth: Cell::new(0),
-            stats: &dynamic.stats,
-            parallel_ok: true,
         };
         for g in &query.globals {
             let mut env = Env::new(g.frame_size, initial_focus(dynamic));
@@ -55,16 +73,7 @@ pub fn execute_streaming(
             interp.globals.push(v);
         }
         let mut env = Env::new(query.frame_size, initial_focus(dynamic));
-        match &query.body {
-            // A FLWOR body streams straight off the pipeline sink.
-            Ir::Flwor(f) => crate::pipeline::run_streaming(&interp, f, &mut env, emit),
-            // Any other body shape materializes (there is no tuple
-            // pipeline to tap), then feeds out in batches.
-            body => {
-                let seq = interp.eval(body, &mut env)?;
-                crate::pipeline::emit_sequence(&seq, emit)
-            }
-        }
+        body(&interp, &mut env)
     })
 }
 
@@ -82,8 +91,6 @@ fn with_run_accounting<T>(
     let result = run();
     let (copied, shared) = xqa_xdm::take_seq_counters();
     dynamic.stats.add_seq_counters(copied, shared);
-    // The stats delta (not the local drain alone) also covers counts
-    // parallel workers merged in through their per-worker sinks.
     if let (Some(profiler), Some(before)) = (dynamic.profiler(), before) {
         let after = dynamic.stats.snapshot();
         profiler.add_seq(
@@ -109,24 +116,6 @@ fn with_run_accounting<T>(
         );
     }
     result
-}
-
-fn execute_inner(query: &CompiledQuery, dynamic: &DynamicContext) -> EngineResult<Sequence> {
-    let mut interp = Interpreter {
-        query,
-        dynamic,
-        globals: Vec::new(),
-        depth: Cell::new(0),
-        stats: &dynamic.stats,
-        parallel_ok: true,
-    };
-    for g in &query.globals {
-        let mut env = Env::new(g.frame_size, initial_focus(dynamic));
-        let v = interp.eval(&g.init, &mut env)?;
-        interp.globals.push(v);
-    }
-    let mut env = Env::new(query.frame_size, initial_focus(dynamic));
-    interp.eval(&query.body, &mut env)
 }
 
 fn initial_focus(dynamic: &DynamicContext) -> Option<Focus> {
@@ -160,32 +149,9 @@ pub(crate) struct Interpreter<'a> {
     pub(crate) dynamic: &'a DynamicContext,
     pub(crate) globals: Vec<Sequence>,
     depth: Cell<usize>,
-    /// Where evaluator counters go. Normally `&dynamic.stats`; a forked
-    /// worker interpreter points at a thread-local sink merged into the
-    /// context stats once at pipeline close, so `--stats` totals don't
-    /// interleave mid-query across parallel workers.
-    pub(crate) stats: &'a EvalStats,
-    /// Whether this interpreter may spawn morsel workers. False in
-    /// forked workers, so nested FLWORs inside a parallel region run
-    /// serially instead of oversubscribing.
-    pub(crate) parallel_ok: bool,
 }
 
 impl<'a> Interpreter<'a> {
-    /// A worker-thread clone of this interpreter: shares the compiled
-    /// query, dynamic context, and evaluated globals, but counts into
-    /// its own stats sink and may not re-parallelize.
-    pub(crate) fn fork<'b>(&'b self, stats: &'b EvalStats) -> Interpreter<'b> {
-        Interpreter {
-            query: self.query,
-            dynamic: self.dynamic,
-            globals: self.globals.clone(),
-            depth: Cell::new(self.depth.get()),
-            stats,
-            parallel_ok: false,
-        }
-    }
-
     pub(crate) fn eval(&self, ir: &Ir, env: &mut Env) -> EngineResult<Sequence> {
         match ir {
             Ir::Str(s) => Ok(Sequence::one(Item::Atomic(AtomicValue::String(
@@ -228,12 +194,12 @@ impl<'a> Interpreter<'a> {
             Ir::GeneralComp(op, a, b) => {
                 let lhs = self.eval(a, env)?;
                 let rhs = self.eval(b, env)?;
-                eval_general_comp(*op, &lhs, &rhs, self.stats)
+                eval_general_comp(*op, &lhs, &rhs, &self.dynamic.stats)
             }
             Ir::ValueComp(op, a, b) => {
                 let lhs = self.eval(a, env)?;
                 let rhs = self.eval(b, env)?;
-                eval_value_comp(*op, &lhs, &rhs, self.stats)
+                eval_value_comp(*op, &lhs, &rhs, &self.dynamic.stats)
             }
             Ir::NodeComp(op, a, b) => {
                 let lhs = self.eval(a, env)?;
@@ -553,7 +519,7 @@ impl<'a> Interpreter<'a> {
             };
             let candidates = match self.index_candidates(access, name, node) {
                 Some(nodes) => {
-                    self.stats.add_scan_index(nodes.len() as u64);
+                    self.dynamic.stats.add_scan_index(nodes.len() as u64);
                     nodes
                 }
                 None => self.axis_nodes(Axis::Descendant, node, test),
@@ -689,7 +655,7 @@ impl<'a> Interpreter<'a> {
 
     /// The nodes selected by `axis::test` from `node`, in axis order.
     fn axis_nodes(&self, axis: Axis, node: &NodeHandle, test: &NodeTestIr) -> Vec<NodeHandle> {
-        let stats = &self.stats;
+        let stats = &self.dynamic.stats;
         let mut visited = 0u64;
         let out: Vec<NodeHandle> = match axis {
             Axis::Child => node

@@ -11,26 +11,23 @@ use crate::ir::*;
 use crate::profile::QueryProfile;
 use std::fmt::Write;
 
-/// Render a whole compiled query. Eligible FLWOR pipelines are
-/// annotated `[parallel ×N]` with the thread count the query would
-/// resolve at run time.
+/// Render a whole compiled query.
 pub fn explain_query(query: &CompiledQuery) -> String {
-    let threads = crate::resolve_threads(query.threads);
     let mut out = String::new();
     for (i, g) in query.globals.iter().enumerate() {
         let _ = writeln!(out, "global ${} (slot g{i}):", g.name);
-        write_ir(&mut out, threads, &g.init, 1);
+        write_ir(&mut out, &g.init, 1);
     }
     for f in &query.functions {
         let _ = writeln!(out, "function {}#{}:", f.name, f.arity);
-        write_ir(&mut out, threads, &f.body, 1);
+        write_ir(&mut out, &f.body, 1);
     }
     let _ = writeln!(
         out,
         "query body (frame size {}, streaming pipeline):",
         query.frame_size,
     );
-    write_ir(&mut out, threads, &query.body, 1);
+    write_ir(&mut out, &query.body, 1);
     out
 }
 
@@ -50,11 +47,7 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
             p.executions,
             fmt_time(p.total_nanos())
         );
-        if p.workers > 1 {
-            let _ = writeln!(out, "  plan: {} [parallel ×{}]", p.signature(), p.workers);
-        } else {
-            let _ = writeln!(out, "  plan: {}", p.signature());
-        }
+        let _ = writeln!(out, "  plan: {}", p.signature());
         for op in &p.ops {
             let mut row = format!(
                 "  {:<32} batches={:<6} tuples_in={:<8} tuples_out={:<8} time={}",
@@ -97,9 +90,9 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
 
 /// A stable fingerprint of the rewritten plan: FNV-1a (64-bit) over the
 /// full `explain` rendering — clause structure, operator plan, access
-/// paths, expression-compilation tags and the resolved parallel
-/// annotation all feed the hash, so two requests share a fingerprint
-/// exactly when the optimizer produced the same plan shape. FNV-1a is
+/// paths and expression-compilation tags all feed the hash, so two
+/// requests share a fingerprint exactly when the optimizer produced the
+/// same plan shape. FNV-1a is
 /// spelled out here (not `DefaultHasher`) so fingerprints are stable
 /// across Rust releases and processes — they key the service's
 /// flight-recorder aggregation and may be logged or compared offline.
@@ -130,7 +123,7 @@ fn line(out: &mut String, depth: usize, text: &str) {
     out.push('\n');
 }
 
-fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
+fn write_ir(out: &mut String, ir: &Ir, depth: usize) {
     match ir {
         Ir::Str(s) => line(out, depth, &format!("string {s:?}")),
         Ir::Int(v) => line(out, depth, &format!("integer {v}")),
@@ -140,7 +133,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         Ir::Seq(items) => {
             line(out, depth, "sequence");
             for item in items {
-                write_ir(out, threads, item, depth + 1);
+                write_ir(out, item, depth + 1);
             }
         }
         Ir::Var(slot) => line(out, depth, &format!("var slot{slot}")),
@@ -148,55 +141,55 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         Ir::ContextItem => line(out, depth, "context-item"),
         Ir::Range(a, b) => {
             line(out, depth, "range");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Arith(op, a, b) => {
             line(out, depth, &format!("arith {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Neg(a) => {
             line(out, depth, "negate");
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::GeneralComp(op, a, b) => {
             line(out, depth, &format!("general-compare {op:?} (existential)"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::ValueComp(op, a, b) => {
             line(out, depth, &format!("value-compare {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::NodeComp(op, a, b) => {
             line(out, depth, &format!("node-compare {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::And(a, b) => {
             line(out, depth, "and");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Or(a, b) => {
             line(out, depth, "or");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::SetOp(op, a, b) => {
             line(out, depth, &format!("set-op {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::If(c, t, e) => {
             line(out, depth, "if");
-            write_ir(out, threads, c, depth + 1);
+            write_ir(out, c, depth + 1);
             line(out, depth, "then");
-            write_ir(out, threads, t, depth + 1);
+            write_ir(out, t, depth + 1);
             line(out, depth, "else");
-            write_ir(out, threads, e, depth + 1);
+            write_ir(out, e, depth + 1);
         }
         Ir::Quantified {
             kind,
@@ -206,28 +199,24 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
             line(out, depth, &format!("quantified {kind:?}"));
             for (slot, expr) in bindings {
                 line(out, depth + 1, &format!("bind slot{slot} in"));
-                write_ir(out, threads, expr, depth + 2);
+                write_ir(out, expr, depth + 2);
             }
             line(out, depth + 1, "satisfies");
-            write_ir(out, threads, satisfies, depth + 2);
+            write_ir(out, satisfies, depth + 2);
         }
         Ir::Flwor(f) => {
             line(out, depth, "FLWOR");
-            line(
-                out,
-                depth + 1,
-                &format!("pipeline: {}", render_plan(f, threads)),
-            );
+            line(out, depth + 1, &format!("pipeline: {}", render_plan(f)));
             for (i, clause) in f.clauses.iter().enumerate() {
                 let plan = f.programs.get(i).and_then(Option::as_ref);
                 let join = f.joins.get(i).and_then(Option::as_ref);
-                write_clause(out, threads, clause, plan, join, depth + 1);
+                write_clause(out, clause, plan, join, depth + 1);
             }
             match f.return_at {
                 Some(slot) => line(out, depth + 1, &format!("return at slot{slot}")),
                 None => line(out, depth + 1, "return"),
             }
-            write_ir(out, threads, &f.return_expr, depth + 2);
+            write_ir(out, &f.return_expr, depth + 2);
         }
         Ir::Path(p) => {
             let start = match &p.start {
@@ -241,7 +230,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                 &format!("path from {start}{}", describe_access(p)),
             );
             if let PathStartIr::Expr(e) = &p.start {
-                write_ir(out, threads, e, depth + 1);
+                write_ir(out, e, depth + 1);
             }
             for step in &p.steps {
                 match step {
@@ -260,14 +249,14 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                             ),
                         );
                         for p in predicates {
-                            write_ir(out, threads, p, depth + 2);
+                            write_ir(out, p, depth + 2);
                         }
                     }
                     StepIr::Expr { expr, predicates } => {
                         line(out, depth + 1, &format!("step expr{}", preds(predicates)));
-                        write_ir(out, threads, expr, depth + 2);
+                        write_ir(out, expr, depth + 2);
                         for p in predicates {
-                            write_ir(out, threads, p, depth + 2);
+                            write_ir(out, p, depth + 2);
                         }
                     }
                 }
@@ -275,21 +264,21 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         }
         Ir::Filter { base, predicates } => {
             line(out, depth, &format!("filter{}", preds(predicates)));
-            write_ir(out, threads, base, depth + 1);
+            write_ir(out, base, depth + 1);
             for p in predicates {
-                write_ir(out, threads, p, depth + 1);
+                write_ir(out, p, depth + 1);
             }
         }
         Ir::CallBuiltin(b, args) => {
             line(out, depth, &format!("call fn:{}", builtin_name(*b)));
             for a in args {
-                write_ir(out, threads, a, depth + 1);
+                write_ir(out, a, depth + 1);
             }
         }
         Ir::CallUser(id, args) => {
             line(out, depth, &format!("call user#{id}"));
             for a in args {
-                write_ir(out, threads, a, depth + 1);
+                write_ir(out, a, depth + 1);
             }
         }
         Ir::Element(el) => {
@@ -299,7 +288,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                 for part in parts {
                     match part {
                         AttrPartIr::Literal(s) => line(out, depth + 2, &format!("literal {s:?}")),
-                        AttrPartIr::Enclosed(e) => write_ir(out, threads, e, depth + 2),
+                        AttrPartIr::Enclosed(e) => write_ir(out, e, depth + 2),
                     }
                 }
             }
@@ -308,37 +297,37 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                     ContentIr::Literal(s) => line(out, depth + 1, &format!("text {s:?}")),
                     ContentIr::Enclosed(e) => {
                         line(out, depth + 1, "enclosed");
-                        write_ir(out, threads, e, depth + 2);
+                        write_ir(out, e, depth + 2);
                     }
-                    ContentIr::Child(e) => write_ir(out, threads, e, depth + 1),
+                    ContentIr::Child(e) => write_ir(out, e, depth + 1),
                 }
             }
         }
         Ir::Attribute { name, value } => {
             line(out, depth, &format!("construct attribute {name}"));
             if let Some(v) = value {
-                write_ir(out, threads, v, depth + 1);
+                write_ir(out, v, depth + 1);
             }
         }
         Ir::Text(content) => {
             line(out, depth, "construct text");
             if let Some(c) = content {
-                write_ir(out, threads, c, depth + 1);
+                write_ir(out, c, depth + 1);
             }
         }
         Ir::Comment(text) => line(out, depth, &format!("construct comment {text:?}")),
         Ir::Pi(target, _) => line(out, depth, &format!("construct pi <?{target}?>")),
         Ir::InstanceOf(a, _) => {
             line(out, depth, "instance-of");
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::Cast(a, target, _) => {
             line(out, depth, &format!("cast as {target:?}"));
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::Castable(a, target, _) => {
             line(out, depth, &format!("castable as {target:?}"));
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
     }
 }
@@ -357,7 +346,6 @@ fn expr_tag(plan: Option<&ExprPlan>) -> &'static str {
 
 fn write_clause(
     out: &mut String,
-    threads: usize,
     clause: &ClauseIr,
     plan: Option<&ExprPlan>,
     join: Option<&JoinIr>,
@@ -382,7 +370,7 @@ fn write_clause(
                 depth,
                 &format!("for slot{slot}{at} in{}", expr_tag(plan)),
             );
-            write_ir(out, threads, expr, depth + 1);
+            write_ir(out, expr, depth + 1);
         }
         ClauseIr::Let { slot, expr, .. } => {
             line(
@@ -390,11 +378,11 @@ fn write_clause(
                 depth,
                 &format!("let slot{slot} :={}{join_tag}", expr_tag(plan)),
             );
-            write_ir(out, threads, expr, depth + 1);
+            write_ir(out, expr, depth + 1);
         }
         ClauseIr::Where(cond) => {
             line(out, depth, &format!("where{}{join_tag}", expr_tag(plan)));
-            write_ir(out, threads, cond, depth + 1);
+            write_ir(out, cond, depth + 1);
         }
         ClauseIr::Count { slot } => {
             line(out, depth, &format!("count slot{slot}"));
@@ -410,12 +398,12 @@ fn write_clause(
                     if w.only_end { " (only end)" } else { "" }
                 ),
             );
-            write_ir(out, threads, &w.expr, depth + 1);
+            write_ir(out, &w.expr, depth + 1);
             line(out, depth + 1, "start when");
-            write_ir(out, threads, &w.start.when, depth + 2);
+            write_ir(out, &w.start.when, depth + 2);
             if let Some(end) = &w.end {
                 line(out, depth + 1, "end when");
-                write_ir(out, threads, &end.when, depth + 2);
+                write_ir(out, &end.when, depth + 2);
             }
         }
         ClauseIr::GroupBy(g) => {
@@ -426,7 +414,7 @@ fn write_clause(
                     None => String::new(),
                 };
                 line(out, depth + 1, &format!("key -> slot{}{using}", key.slot));
-                write_ir(out, threads, &key.expr, depth + 2);
+                write_ir(out, &key.expr, depth + 2);
             }
             for nest in &g.nests {
                 let ordered = if nest.order_by.is_some() {
@@ -439,7 +427,7 @@ fn write_clause(
                     depth + 1,
                     &format!("nest -> slot{}{ordered}", nest.slot),
                 );
-                write_ir(out, threads, &nest.expr, depth + 2);
+                write_ir(out, &nest.expr, depth + 2);
                 if let Some(ob) = &nest.order_by {
                     for spec in &ob.specs {
                         line(
@@ -447,7 +435,7 @@ fn write_clause(
                             depth + 2,
                             &format!("order key{}", if spec.descending { " desc" } else { "" }),
                         );
-                        write_ir(out, threads, &spec.expr, depth + 3);
+                        write_ir(out, &spec.expr, depth + 3);
                     }
                 }
             }
@@ -468,7 +456,7 @@ fn write_clause(
                     depth + 1,
                     &format!("key{}", if spec.descending { " desc" } else { "" }),
                 );
-                write_ir(out, threads, &spec.expr, depth + 2);
+                write_ir(out, &spec.expr, depth + 2);
             }
         }
     }
@@ -477,9 +465,8 @@ fn write_clause(
 /// Render the compiled operator plan as a `->` chain. Operators without
 /// an annotation stream tuples batch-at-a-time; pipeline breakers are
 /// marked `[materializes]`, and a bounded top-k order-by shows its
-/// `limit` and `[heap]` mode. A chain that is parallel-eligible and
-/// would resolve to more than one thread gets a `[parallel ×N]` suffix.
-pub(crate) fn render_plan(f: &FlworIr, threads: usize) -> String {
+/// `limit` and `[heap]` mode.
+pub(crate) fn render_plan(f: &FlworIr) -> String {
     let mut parts: Vec<String> = f
         .plan
         .iter()
@@ -505,11 +492,7 @@ pub(crate) fn render_plan(f: &FlworIr, threads: usize) -> String {
         })
         .collect();
     parts.push("ReturnAt".to_string());
-    let mut plan = parts.join(" -> ");
-    if f.parallel && threads > 1 {
-        let _ = write!(plan, " [parallel ×{threads}]");
-    }
-    plan
+    parts.join(" -> ")
 }
 
 /// The `[index scan ...]` plan tag for an index-annotated path: the

@@ -225,12 +225,6 @@ pub struct FlworIr {
     pub return_at: Option<Slot>,
     /// The return expression.
     pub return_expr: Ir,
-    /// Compile-time parallel eligibility: whether the outermost `for`
-    /// binding sequence may be split into morsels executed by worker
-    /// threads (see [`parallel_eligible`]). Whether that actually
-    /// happens is decided at run time from the effective thread count
-    /// and the input size.
-    pub parallel: bool,
     /// Per-clause expression programs, aligned with `clauses` — the
     /// output of [`crate::bytecode::lower_query`]. `Some(Compiled)`
     /// for clause expressions lowered to register programs,
@@ -369,43 +363,6 @@ pub fn plan_pipeline(clauses: &[ClauseIr]) -> Vec<PlanOpIr> {
             ClauseIr::OrderBy(_) => PlanOpIr::OrderBy,
         })
         .collect()
-}
-
-/// Compile-time analysis: may this clause chain run morsel-parallel
-/// over the outermost `for` binding sequence?
-///
-/// The chain is eligible when it starts with a `for` and every clause
-/// up to (and including) the first breaker is safe to evaluate on a
-/// partition of the input:
-///
-/// - `for` / `let` / `where` / `window` are tuple-local — safe.
-/// - `count $c` assigns a sequential ordinal mid-chain; partitioned
-///   workers cannot see the global ordinal, so the chain is ineligible.
-/// - `group by` partitions merge per-worker hash tables by key, which
-///   requires the engine's canonical key equality; a `using` clause
-///   (user-defined equality) defeats that merge, so it gates.
-/// - `order by` (the other breaker) merges per-worker sorted runs with
-///   the original ordinal as tie-breaker — always safe.
-///
-/// Clauses *after* the first breaker run serially on the coordinator
-/// over the merged output, so they don't affect eligibility. `return
-/// at $rank` ranks are assigned post-merge and are likewise safe.
-pub fn parallel_eligible(clauses: &[ClauseIr]) -> bool {
-    if !matches!(clauses.first(), Some(ClauseIr::For { .. })) {
-        return false;
-    }
-    for clause in &clauses[1..] {
-        match clause {
-            ClauseIr::For { .. }
-            | ClauseIr::Let { .. }
-            | ClauseIr::Where(_)
-            | ClauseIr::Window(_) => {}
-            ClauseIr::Count { .. } => return false,
-            ClauseIr::GroupBy(g) => return g.keys.iter().all(|k| k.using.is_none()),
-            ClauseIr::OrderBy(_) => return true,
-        }
-    }
-    true
 }
 
 /// One clause of the pipeline.
@@ -678,7 +635,4 @@ pub struct CompiledQuery {
     /// Whether `declare ordering unordered` was in effect (informational;
     /// the engine always produces the ordered result).
     pub ordered: bool,
-    /// Requested degree of intra-query parallelism, copied from
-    /// [`crate::EngineOptions::threads`] (0 = resolve at run time).
-    pub threads: usize,
 }

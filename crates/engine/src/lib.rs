@@ -66,19 +66,10 @@ pub struct EngineOptions {
     /// top-k heap instead of a full sort (on by default; never changes
     /// results — the residual predicate stays in place).
     pub topk_pushdown: bool,
-    /// Degree of intra-query parallelism for the streaming pipeline.
-    /// `0` (the default) resolves at run time via the `XQA_THREADS`
-    /// environment variable, falling back to
-    /// `std::thread::available_parallelism`. `1` forces the exact
-    /// single-threaded legacy execution path. Values above 1 split the
-    /// outermost `for` binding sequence into morsels executed by that
-    /// many scoped worker threads; output is byte-identical to serial.
-    pub threads: usize,
     /// How leading `descendant::T` path steps are executed (see
     /// [`AccessPathMode`]). `Auto` (the default) consults the catalog
     /// statistics attached to the engine; the `XQA_FORCE_ACCESS_PATH`
-    /// environment variable (`walk` | `index`) overrides at compile
-    /// time, mirroring `XQA_THREADS`.
+    /// environment variable (`walk` | `index`) overrides at compile time.
     pub access_path: AccessPathMode,
     /// How FLWOR clause expressions are evaluated (see [`ExprEvalMode`]).
     /// `Auto` (the default) compiles the scalar subset to register
@@ -98,7 +89,6 @@ impl Default for EngineOptions {
             detect_implicit_groupby: false,
             constant_folding: true,
             topk_pushdown: true,
-            threads: 0,
             access_path: AccessPathMode::Auto,
             expr_eval: ExprEvalMode::Auto,
             join: JoinMode::Auto,
@@ -147,8 +137,7 @@ impl AccessPathMode {
 }
 
 /// The effective access-path mode: `XQA_FORCE_ACCESS_PATH` (`walk` |
-/// `index`) wins over the engine option, mirroring how `XQA_THREADS`
-/// overrides the thread count.
+/// `index`) wins over the engine option.
 pub fn resolve_access_path(requested: AccessPathMode) -> AccessPathMode {
     if let Ok(v) = std::env::var("XQA_FORCE_ACCESS_PATH") {
         if let Some(mode) = AccessPathMode::parse(&v) {
@@ -266,24 +255,11 @@ pub fn resolve_join(requested: JoinMode) -> JoinMode {
     requested
 }
 
-/// Resolve a requested degree of parallelism to an effective thread
-/// count: an explicit `requested > 0` wins, then a positive integer in
-/// the `XQA_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`] (or 1 if unavailable).
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Ok(v) = std::env::var("XQA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// The number of threads one query runs on: always 1. Queries execute
+/// single-threaded; the argument is ignored and no environment is read.
+/// Kept for callers that record it as run metadata.
+pub fn resolve_threads(_: usize) -> usize {
+    1
 }
 
 /// The kind of optimizer rewrite a [`RewriteNote`] records. The wire
@@ -438,7 +414,6 @@ impl Engine {
             );
         }
         let mut compiled = compile::compile(&module)?;
-        compiled.threads = self.options.threads;
         if self.options.constant_folding {
             let folds = fold::fold_query(&mut compiled);
             if folds > 0 {

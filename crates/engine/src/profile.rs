@@ -221,22 +221,19 @@ impl OpProfile {
 }
 
 /// One node of a query's span timeline: a named interval on the
-/// profiling clock, optionally attributed to a morsel worker, with
-/// nested child spans. Serial pipelines lay their per-operator child
-/// spans out cumulatively by self time (the pipeline ran the operators
-/// interleaved, so exact per-operator intervals don't exist); parallel
-/// pipelines report each worker's real loop interval.
+/// profiling clock with nested child spans. Pipelines lay their
+/// per-operator child spans out cumulatively by self time (the pipeline
+/// ran the operators interleaved, so exact per-operator intervals don't
+/// exist).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// What ran: `"pipeline #N"`, an operator label, `"worker"`,
-    /// `"merge+replay"`, or a compile phase name.
+    /// What ran: `"pipeline #N"`, an operator label, or a compile phase
+    /// name.
     pub name: String,
     /// Interval start on the profiling clock (nanoseconds).
     pub start_nanos: u64,
     /// Interval end on the profiling clock (nanoseconds).
     pub end_nanos: u64,
-    /// The morsel worker that ran this span, if it ran off-coordinator.
-    pub worker: Option<u64>,
     /// Nested spans, in start order.
     pub children: Vec<Span>,
 }
@@ -248,7 +245,6 @@ impl Span {
             name: name.into(),
             start_nanos,
             end_nanos,
-            worker: None,
             children: Vec::new(),
         }
     }
@@ -266,9 +262,6 @@ impl Span {
             self.start_nanos,
             self.end_nanos
         );
-        if let Some(w) = self.worker {
-            let _ = write!(s, ",\"worker\":{w}");
-        }
         if !self.children.is_empty() {
             let children: Vec<String> = self.children.iter().map(|c| c.to_json()).collect();
             let _ = write!(s, ",\"children\":[{}]", children.join(","));
@@ -300,11 +293,6 @@ pub struct Misestimate {
 pub struct PipelineProfile {
     /// How many times this pipeline ran.
     pub executions: u64,
-    /// The widest degree of parallelism any execution ran at (1 =
-    /// serial). Parallel executions sum worker-side operator counters,
-    /// so per-operator `nanos` are CPU time while the pipeline total
-    /// stays wall time.
-    pub workers: u64,
     /// Per-operator counters, source first, `ReturnAt` sink last.
     pub ops: Vec<OpProfile>,
 }
@@ -325,10 +313,9 @@ impl PipelineProfile {
     fn to_json(&self) -> String {
         let ops: Vec<String> = self.ops.iter().map(|op| op.to_json()).collect();
         format!(
-            "{{\"signature\":\"{}\",\"executions\":{},\"workers\":{},\"total_ns\":{},\"ops\":[{}]}}",
+            "{{\"signature\":\"{}\",\"executions\":{},\"total_ns\":{},\"ops\":[{}]}}",
             self.signature(),
             self.executions,
-            self.workers,
             self.total_nanos(),
             ops.join(",")
         )
@@ -360,7 +347,7 @@ pub struct QueryProfile {
     pub expr_fallback: u64,
     /// Execution span timeline: one root span per recorded pipeline
     /// execution (capped at [`QueryProfile::MAX_SPANS`] to stay
-    /// compact), with per-operator and per-worker child spans.
+    /// compact), with per-operator child spans.
     pub spans: Vec<Span>,
 }
 
@@ -398,7 +385,6 @@ impl QueryProfile {
         for existing in &mut self.pipelines {
             if existing.signature() == sig {
                 existing.executions += p.executions;
-                existing.workers = existing.workers.max(p.workers);
                 for (a, b) in existing.ops.iter_mut().zip(&p.ops) {
                     a.merge(b);
                 }
@@ -563,7 +549,6 @@ mod tests {
     fn merge_by_signature_sums_counters() {
         let run = || PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![op(OpKind::ForScan, "", 10), op(OpKind::ReturnAt, "", 10)],
         };
         let mut q = QueryProfile::default();
@@ -571,7 +556,6 @@ mod tests {
         q.merge(run());
         q.merge(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![op(OpKind::LetBind, "", 1), op(OpKind::ReturnAt, "", 1)],
         });
         assert_eq!(q.pipelines.len(), 2);
@@ -586,7 +570,6 @@ mod tests {
         let p = Profiler::new();
         p.record(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![op(OpKind::ForScan, "", 1)],
         });
         assert!(!p.snapshot().is_empty());
@@ -617,7 +600,6 @@ mod tests {
         filter.estimate = Some(40);
         q.merge(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![scan, filter],
         });
         let worst = q.worst_misestimate().expect("has estimates");
@@ -628,16 +610,14 @@ mod tests {
     }
 
     #[test]
-    fn span_json_nests_and_names_workers() {
+    fn span_json_nests() {
         let mut root = Span::leaf("pipeline #0", 1_000, 9_000);
-        let mut w = Span::leaf("worker", 1_000, 5_000);
-        w.worker = Some(1);
-        root.children.push(w);
+        root.children.push(Span::leaf("ForScan", 1_000, 5_000));
         let json = root.to_json();
         assert_eq!(
             json,
             "{\"name\":\"pipeline #0\",\"start_ns\":1000,\"end_ns\":9000,\
-             \"children\":[{\"name\":\"worker\",\"start_ns\":1000,\"end_ns\":5000,\"worker\":1}]}"
+             \"children\":[{\"name\":\"ForScan\",\"start_ns\":1000,\"end_ns\":5000}]}"
         );
         assert_eq!(root.duration_nanos(), 8_000);
     }
@@ -656,7 +636,6 @@ mod tests {
         let mut q = QueryProfile::default();
         q.merge(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![op(OpKind::OrderBy, "limit=3", 3)],
         });
         let json = q.to_json();
@@ -674,7 +653,6 @@ mod tests {
         scan.estimate = Some(3);
         q.merge(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![scan],
         });
         q.spans.push(Span::leaf("pipeline #0", 0, 100));

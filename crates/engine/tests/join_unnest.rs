@@ -240,12 +240,11 @@ fn two_key_ctx() -> DynamicContext {
     c
 }
 
-/// Run under `join` at `threads`: the serialized result, or the error
-/// code and message.
-fn outcome(join: JoinMode, threads: usize, c: &DynamicContext, query: &str) -> String {
+/// Run under `join`: the serialized result, or the error code and
+/// message.
+fn outcome(join: JoinMode, c: &DynamicContext, query: &str) -> String {
     let e = Engine::with_options(EngineOptions {
         join,
-        threads,
         ..Default::default()
     });
     match e.compile(query).expect("compile").run(c) {
@@ -254,18 +253,14 @@ fn outcome(join: JoinMode, threads: usize, c: &DynamicContext, query: &str) -> S
     }
 }
 
-/// Every join mode at threads 1, 2 and 4 agrees; returns that outcome.
+/// The hash join agrees with the nested loop; returns that outcome.
 fn agreed_outcome(c: &DynamicContext, query: &str) -> String {
-    let baseline = outcome(JoinMode::Nested, 1, c, query);
-    for threads in [1, 2, 4] {
-        for join in [JoinMode::Hash, JoinMode::Nested] {
-            assert_eq!(
-                outcome(join, threads, c, query),
-                baseline,
-                "{join:?} at threads={threads} disagrees with nested for:\n{query}"
-            );
-        }
-    }
+    let baseline = outcome(JoinMode::Nested, c, query);
+    assert_eq!(
+        outcome(JoinMode::Hash, c, query),
+        baseline,
+        "hash disagrees with nested for:\n{query}"
+    );
     baseline
 }
 

@@ -4,9 +4,9 @@
 //! pipeline must actually emit in multiple batches, and failures must
 //! classify as before-first-item vs mid-stream vs sink.
 
-use xqa_engine::{DynamicContext, Engine, EngineOptions, StreamError};
+use xqa_engine::{DynamicContext, Engine, StreamError};
 use xqa_xdm::{ErrorCode, Item};
-use xqa_xmlparse::{parse_document, serialize_sequence, SequenceSerializer, SerializeOptions};
+use xqa_xmlparse::{parse_document, serialize_sequence};
 
 const BIB: &str = r#"
 <bib>
@@ -105,27 +105,6 @@ fn large_results_stream_in_multiple_batches() {
 }
 
 #[test]
-fn parallel_path_streams_identical_bytes() {
-    let engine = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..EngineOptions::default()
-    });
-    // > MORSEL items so the morsel-parallel executor engages.
-    let query = "for $x in 1 to 5000 where $x mod 7 = 0 return <n>{$x}</n>";
-    let plan = engine.compile(query).unwrap();
-    let ctx = DynamicContext::new();
-    let expected = serialize_sequence(&plan.run(&ctx).unwrap());
-    let mut ser = SequenceSerializer::new(SerializeOptions::default());
-    let mut out = String::new();
-    plan.run_streaming(&ctx, &mut |items| {
-        ser.push(items, &mut out);
-        Ok(())
-    })
-    .expect("parallel streaming run");
-    assert_eq!(out, expected);
-}
-
-#[test]
 fn error_before_first_item_classifies_as_before_first() {
     let engine = Engine::new();
     let plan = engine.compile("1 div 0").unwrap();
@@ -212,6 +191,6 @@ fn streaming_run_reports_stats_like_buffered() {
     plan.run_streaming(&streamed_ctx, &mut |_| Ok(())).unwrap();
     let streamed = streamed_ctx.stats.snapshot();
 
-    assert_eq!(streamed.tuples_grouped, buffered.tuples_grouped);
+    assert_eq!(streamed, buffered);
     assert!(streamed.tuples_grouped > 0);
 }

@@ -143,9 +143,6 @@ struct Shared {
     /// timelines from different requests are comparable.
     trace_clock: Arc<MonotonicClock>,
     slow_query_ms: Option<u64>,
-    /// Resolved intra-query parallelism (the `threads` engine option
-    /// after defaulting), exported on `/metrics`.
-    query_threads: usize,
     pool: ThreadPool,
     started: Instant,
     /// Bounded admission + per-client quotas (see [`Admission`]).
@@ -207,7 +204,6 @@ impl Server {
             flight: FlightRecorder::new(config.flight_recorder_capacity),
             trace_clock: Arc::new(MonotonicClock::new()),
             slow_query_ms: config.slow_query_ms,
-            query_threads: xqa_engine::resolve_threads(config.engine_options.threads),
             pool: ThreadPool::new("xqa-worker", workers),
             started: Instant::now(),
             admission: Admission::new(workers, config.max_queue, config.max_inflight_per_client),
@@ -782,7 +778,6 @@ fn render_metrics(shared: &Shared) -> String {
     };
     line("xqa_uptime_seconds", shared.started.elapsed().as_secs());
     line("xqa_workers", shared.pool.size() as u64);
-    line("xqa_query_threads", shared.query_threads as u64);
     line("xqa_worker_panics_total", shared.pool.panic_count());
     line("xqa_query_requests_total", Metrics::read(&m.query_requests));
     line("xqa_query_ok_total", Metrics::read(&m.query_ok));

@@ -57,8 +57,8 @@ fn count_shared(n: usize) {
 ///
 /// The engine resets the counters at the start of every evaluation (by
 /// draining and discarding) and folds the totals into its `EvalStats`
-/// at the end; parallel workers drain into their private sinks before
-/// the cross-worker merge, so concurrent queries never interleave.
+/// at the end. The counters are thread-local and a query runs on one
+/// thread, so concurrent queries never interleave.
 pub fn take_seq_counters() -> (u64, u64) {
     let copied = SEQ_ITEMS_COPIED.with(|c| c.replace(0));
     let shared = SEQ_CLONES_SHARED.with(|c| c.replace(0));
@@ -261,8 +261,8 @@ impl IntoIterator for Sequence {
 ///
 /// The builder mirrors the sequence variants: it stays unboxed through
 /// the empty/singleton cases, *adopts* a whole `Many` appended into an
-/// empty builder without touching its items (the group-nest and
-/// morsel-merge fast path), and only spills to an owned `Vec` — copying
+/// empty builder without touching its items (the group-nest fast
+/// path), and only spills to an owned `Vec` — copying
 /// the adopted items, counted — when construction keeps going past a
 /// shared state.
 #[derive(Debug, Default)]

@@ -1,44 +1,37 @@
 //! Dynamic-error parity between compiled expression programs and the
 //! IR tree-walker. A lowered program must raise exactly the error the
-//! tree-walker raises — same code, same message, and under parallel
-//! execution the same first-failing-tuple selection — because programs
-//! call the evaluator's own scalar kernels rather than reimplementing
-//! their semantics.
+//! tree-walker raises — same code, same message, and the same
+//! first-failing-tuple selection — because programs call the
+//! evaluator's own scalar kernels rather than reimplementing their
+//! semantics.
 
 use xqa::{DynamicContext, Engine, EngineOptions, ExprEvalMode};
 
-/// Runs `query` under every mode × thread combination; every run must
-/// fail, all failures must render identically, and the message must
-/// mention `expect` (an error code or message fragment).
+/// Runs `query` under both evaluation modes; both runs must fail with
+/// identically rendered errors, and the message must mention `expect`
+/// (an error code or message fragment).
 fn assert_error_parity(query: &str, expect: &str) {
     let ctx = DynamicContext::new();
-    let mut errors: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in [ExprEvalMode::Bytecode, ExprEvalMode::Tree] {
-            let engine = Engine::with_options(EngineOptions {
-                threads,
-                expr_eval: mode,
-                ..Default::default()
-            });
-            let err = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"))
-                .run(&ctx)
-                .expect_err("query must raise a dynamic error");
-            errors.push((format!("{mode:?} threads={threads}"), err.to_string()));
-        }
-    }
-    let (baseline_label, baseline) = &errors[0];
+    let [bytecode, tree] = [ExprEvalMode::Bytecode, ExprEvalMode::Tree].map(|mode| {
+        let engine = Engine::with_options(EngineOptions {
+            expr_eval: mode,
+            ..Default::default()
+        });
+        engine
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode:?}): {e}\n{query}"))
+            .run(&ctx)
+            .expect_err("query must raise a dynamic error")
+            .to_string()
+    });
     assert!(
-        baseline.contains(expect),
-        "expected error mentioning {expect:?}, got: {baseline}\n{query}"
+        bytecode.contains(expect),
+        "expected error mentioning {expect:?}, got: {bytecode}\n{query}"
     );
-    for (label, err) in &errors[1..] {
-        assert_eq!(
-            baseline, err,
-            "{baseline_label} and {label} raise different errors for:\n{query}"
-        );
-    }
+    assert_eq!(
+        bytecode, tree,
+        "bytecode and tree raise different errors for:\n{query}"
+    );
 }
 
 #[test]
@@ -97,12 +90,11 @@ fn comparison_type_error_parity() {
     assert_error_parity("for $x in 1 to 50 where $x eq \"a\" return $x", "XPTY0004");
 }
 
-/// Multi-morsel input where two different tuples raise two *different*
-/// errors: the serial scan hits the division at $x = 1200 before the
-/// type error at $x = 2500, so every combination — including parallel
-/// bytecode, where workers race over morsels — must surface the
-/// division error, proving first-failing-morsel selection is preserved
-/// through compiled programs.
+/// A long input where two different tuples raise two *different*
+/// errors: the scan hits the division at $x = 1200 before the type
+/// error at $x = 2500, so both modes must surface the division error,
+/// proving first-failing-tuple selection is preserved through compiled
+/// programs.
 #[test]
 fn first_failing_morsel_parity() {
     assert_error_parity(
@@ -117,7 +109,7 @@ fn first_failing_morsel_parity() {
 
 /// The same shape with only the later (type) error left in place:
 /// proves the harness above really can observe the other error, so the
-/// first-failing-morsel assertion is not vacuous.
+/// first-failing-tuple assertion is not vacuous.
 #[test]
 fn later_morsel_error_surfaces_when_alone() {
     assert_error_parity(

@@ -1,60 +1,88 @@
 //! Differential tests for the streaming tuple pipeline.
 //!
-//! The legacy clause-by-clause materializing path is gone; the pipeline
-//! is now held against itself across degrees of parallelism instead.
-//! Every query here is evaluated at threads=1 (profiled — the run that
-//! also asserts instrumentation never changes results and that every
-//! FLWOR records its operator pipeline) and at threads=4, and the
-//! serialized results must be byte-identical.
+//! A FLWOR runs on one driver whose sink either materializes the result
+//! or streams it batch by batch. Every query here is evaluated both
+//! ways, each from a fresh context: a profiled materialized `run` (which
+//! also asserts that instrumentation never changes results and that
+//! every FLWOR records its operator pipeline) and an unprofiled
+//! `run_streaming`. The serialized results (or the errors) must be
+//! byte-identical and the whole evaluator counter snapshot must match.
 
-use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
+use xqa::{
+    serialize_sequence, DynamicContext, Engine, EngineOptions, EvalStatsSnapshot, PreparedQuery,
+    StreamError,
+};
 
-fn threaded_engines() -> (Engine, Engine) {
-    let serial = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
-    let parallel = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..Default::default()
-    });
-    (serial, parallel)
+/// A run's observable outcome: the serialized result or the error, and
+/// the context's counters afterwards.
+type Outcome = (Result<String, String>, EvalStatsSnapshot);
+
+fn run_materialized(plan: &PreparedQuery, mut ctx: DynamicContext, query: &str) -> Outcome {
+    ctx.enable_profiling();
+    let out = plan.run(&ctx).map_err(|e| e.to_string());
+    if out.is_ok() {
+        let profile = ctx.take_profile().expect("profiling was enabled");
+        assert!(
+            !profile.is_empty(),
+            "no pipeline profile recorded for:\n{query}"
+        );
+        for pipeline in &profile.pipelines {
+            assert!(!pipeline.ops.is_empty(), "empty pipeline in profile");
+        }
+    }
+    (
+        out.map(|seq| serialize_sequence(&seq)),
+        ctx.stats.snapshot(),
+    )
 }
 
-fn assert_identical_ctx(query: &str, ctx: &mut DynamicContext) {
-    let (serial, parallel) = threaded_engines();
-    let fast = serial
+fn run_streamed(plan: &PreparedQuery, ctx: DynamicContext) -> Outcome {
+    let mut items = Vec::new();
+    let out = plan.run_streaming(&ctx, &mut |batch| {
+        items.extend_from_slice(batch);
+        Ok(())
+    });
+    let out = match out {
+        Ok(_) => Ok(serialize_sequence(&items)),
+        Err(StreamError::BeforeFirstItem(e) | StreamError::MidStream { error: e, .. }) => {
+            Err(e.to_string())
+        }
+        Err(e @ StreamError::Sink { .. }) => panic!("the collecting sink never fails: {e}"),
+    };
+    (out, ctx.stats.snapshot())
+}
+
+/// Evaluate `query` under `engine` materialized and streamed, each from
+/// a fresh `ctx()`, assert the two outcomes are identical, and return
+/// the shared result (or error).
+fn assert_modes_identical_with(
+    engine: &Engine,
+    query: &str,
+    ctx: fn() -> DynamicContext,
+) -> Result<String, String> {
+    let plan = engine
         .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=1): {e}\n{query}"));
-    let slow = parallel
-        .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=4): {e}\n{query}"));
-    // The serial run is profiled: instrumentation must never change
-    // results, and every streaming FLWOR must record its pipeline.
-    ctx.enable_profiling();
-    let a = fast
-        .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=1): {e}\n{query}"));
-    let profile = ctx.take_profile().expect("profiling was enabled");
-    assert!(
-        !profile.is_empty(),
-        "no pipeline profile recorded for:\n{query}"
-    );
-    for pipeline in &profile.pipelines {
-        assert!(!pipeline.ops.is_empty(), "empty pipeline in profile");
-    }
-    let b = slow
-        .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
+        .unwrap_or_else(|e| panic!("compile: {e}\n{query}"));
+    let (materialized, counters) = run_materialized(&plan, ctx(), query);
+    let (streamed, streamed_counters) = run_streamed(&plan, ctx());
     assert_eq!(
-        serialize_sequence(&a),
-        serialize_sequence(&b),
-        "threads=1 and threads=4 disagree for:\n{query}"
+        materialized, streamed,
+        "materialized and streamed runs disagree for:\n{query}"
     );
+    assert_eq!(
+        counters, streamed_counters,
+        "materialized and streamed runs count differently for:\n{query}"
+    );
+    materialized
+}
+
+fn assert_identical_ctx(query: &str, ctx: fn() -> DynamicContext) {
+    assert_modes_identical_with(&Engine::new(), query, ctx)
+        .unwrap_or_else(|e| panic!("run: {e}\n{query}"));
 }
 
 fn assert_identical(query: &str) {
-    assert_identical_ctx(query, &mut DynamicContext::new());
+    assert_identical_ctx(query, DynamicContext::new);
 }
 
 fn orders_ctx() -> DynamicContext {
@@ -77,7 +105,7 @@ fn groupby_single_key() {
          nest $li into $items \
          order by string($m) \
          return <g>{string($m)}:{count($items)}</g>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -89,7 +117,7 @@ fn groupby_two_keys() {
          nest $li/quantity into $qs \
          order by string($rf), string($ls) \
          return <g>{string($rf)}{string($ls)}|{count($qs)}|{sum(for $q in $qs return number($q))}</g>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -101,7 +129,7 @@ fn groupby_ordered_nest() {
          nest $li/shipdate order by string($li/shipdate) into $ds \
          order by string($m) \
          return <g>{string($m)}:{string($ds[1])}..{string($ds[last()])}</g>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -115,7 +143,7 @@ fn groupby_custom_equality() {
          nest $li into $items \
          order by string($m) \
          return <g>{string($m)}:{count($items)}</g>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -129,7 +157,7 @@ fn groupby_post_group_let_and_where() {
          where $n ge 10 \
          order by $n descending, string($m) \
          return <g>{string($m)}:{$n}</g>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -141,7 +169,7 @@ fn rank_query_unbounded() {
         "for $li in //order/lineitem \
          order by number($li/extendedprice) descending \
          return at $r <p rank=\"{$r}\">{data($li/partkey)}</p>",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -152,7 +180,7 @@ fn rank_query_topk() {
           order by number($li/extendedprice) descending \
           return at $r <p rank=\"{$r}\">{data($li/partkey)}</p>)\
          [position() le 10]",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -165,7 +193,7 @@ fn rank_groups_topk() {
           order by count($items) descending, string($m) \
           return at $r <g rank=\"{$r}\">{string($m)}</g>)\
          [position() le 3]",
-        &mut orders_ctx(),
+        orders_ctx,
     );
 }
 
@@ -237,79 +265,13 @@ fn multiple_for_clauses() {
     );
 }
 
-// ---- intra-query parallelism ------------------------------------------
+// ---- large inputs -----------------------------------------------------
 //
-// Every query above (and a set of large-input shapes that actually split
-// into multiple morsels) is also evaluated with `threads: 1` vs
-// `threads: 4`; the serialized results must be byte-identical and the
-// evaluator accounting (tuples produced/grouped/pruned, groups emitted)
-// must match exactly.
+// The corpora below, and inputs long enough to cross many batches at
+// every operator, replayed through the same materialized-vs-streamed
+// harness.
 
-fn assert_threads_identical_ctx(query: &str, ctx: &mut DynamicContext) {
-    let (serial, parallel) = threaded_engines();
-    let s = serial
-        .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=1): {e}\n{query}"));
-    let p = parallel
-        .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=4): {e}\n{query}"));
-    let base = ctx.stats.snapshot();
-    let a = s
-        .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=1): {e}\n{query}"));
-    let mid = ctx.stats.snapshot();
-    let b = p
-        .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
-    let end = ctx.stats.snapshot();
-    assert_eq!(
-        serialize_sequence(&a),
-        serialize_sequence(&b),
-        "threads=1 and threads=4 disagree for:\n{query}"
-    );
-    // The parallel run must do the same logical work as the serial one.
-    let deltas = [
-        (
-            "tuples_produced",
-            base.tuples_produced,
-            mid.tuples_produced,
-            end.tuples_produced,
-        ),
-        (
-            "tuples_grouped",
-            base.tuples_grouped,
-            mid.tuples_grouped,
-            end.tuples_grouped,
-        ),
-        (
-            "groups_emitted",
-            base.groups_emitted,
-            mid.groups_emitted,
-            end.groups_emitted,
-        ),
-        (
-            "tuples_pruned_filter",
-            base.tuples_pruned_filter,
-            mid.tuples_pruned_filter,
-            end.tuples_pruned_filter,
-        ),
-        (
-            "tuples_pruned_topk",
-            base.tuples_pruned_topk,
-            mid.tuples_pruned_topk,
-            end.tuples_pruned_topk,
-        ),
-    ];
-    for (name, base, mid, end) in deltas {
-        assert_eq!(
-            mid - base,
-            end - mid,
-            "{name} differs between threads=1 and threads=4 for:\n{query}"
-        );
-    }
-}
-
-/// The orders-document corpus shared by the threads, access-path, and
+/// The orders-document corpus shared by the mode, access-path, and
 /// expression-bytecode differentials.
 const ORDERS_CORPUS: [&str; 8] = [
         "for $li in //order/lineitem \
@@ -384,107 +346,97 @@ const PLAIN_CORPUS: [&str; 7] = [
          return <r>{$y}{$x}</r>",
 ];
 
-/// The full corpus above, replayed as a threads=1 vs threads=4
-/// differential. Inputs below one morsel take the pre-seeded serial
-/// fallback; the large-input tests further down exercise the real
-/// multi-worker split.
+/// The orders and document-free corpora through the harness.
 #[test]
 fn parallel_corpus_differential() {
     for query in ORDERS_CORPUS {
-        assert_threads_identical_ctx(query, &mut orders_ctx());
+        assert_identical_ctx(query, orders_ctx);
     }
     for query in PLAIN_CORPUS {
-        assert_threads_identical_ctx(query, &mut DynamicContext::new());
+        assert_identical(query);
     }
 }
 
 #[test]
 fn parallel_large_streamed_chain() {
-    // No breaker: per-morsel output fragments concatenated in order.
-    assert_threads_identical_ctx(
+    // No breaker: the return values of every batch, in order.
+    assert_identical(
         "for $x in 1 to 4000 \
          let $y := $x * 3 \
          where $y mod 7 = 0 \
          return <r>{$y}</r>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_positional_at() {
-    // `at` ordinals are global positions, not morsel-local ones.
-    assert_threads_identical_ctx(
+    // `at` ordinals keep counting across batches.
+    assert_identical(
         "for $x at $i in 2 to 4001 \
          where $x mod 997 = 0 \
          return <r>{$i}:{$x}</r>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_rank_without_order() {
-    // No breaker but `return at`: ranks are assigned after the merge.
-    assert_threads_identical_ctx(
+    // No breaker but `return at`: ranks keep counting across batches.
+    assert_identical(
         "for $x in 1 to 3000 \
          where $x mod 2 = 0 \
          return at $r <r>{$r}:{$x}</r>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_group_by_deep_equal_keys() {
-    // Sequence-valued grouping keys exercise the deep-equal fallback in
-    // every worker's hash table and again in the cross-worker merge;
-    // with no order by, group order is first appearance across morsels.
-    assert_threads_identical_ctx(
+    // Sequence-valued grouping keys exercise the deep-equal fallback of
+    // the group hash table; with no order by, group order is first
+    // appearance.
+    assert_identical(
         "for $x in 1 to 5000 \
          group by ($x mod 7, $x mod 3) into $k \
          nest $x into $xs \
          return <g>{$k[1]}-{$k[2]}|{count($xs)}|{sum($xs)}</g>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_group_by_ordered_nest() {
-    assert_threads_identical_ctx(
+    assert_identical(
         "for $x in 1 to 5000 \
          group by $x mod 11 into $k \
          nest $x order by $x mod 13, $x into $xs \
          order by $k \
          return <g>{$k}|{$xs[1]}|{$xs[last()]}</g>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_top_k_ties_and_rank() {
-    // Massive ties on the sort key: the survivors and their ranks must
-    // match the serial stable order (tags break ties by input position).
-    assert_threads_identical_ctx(
+    // Massive ties on the sort key: the heap's survivors and their
+    // ranks follow the stable order (tags break ties by input position).
+    assert_identical(
         "(for $x in 1 to 5000 \
           order by $x mod 10 \
           return at $r <r rank=\"{$r}\">{$x}</r>)[position() le 25]",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_full_sort_stability() {
-    assert_threads_identical_ctx(
+    assert_identical(
         "for $x in 1 to 3000 \
          order by $x mod 4 \
          return <r>{$x}</r>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_large_groupby_then_downstream_clauses() {
-    // Clauses after the breaker (let/where/order by) run serially on
-    // the merged stream.
-    assert_threads_identical_ctx(
+    // Clauses after the breaker (let/where/order by) stream over its
+    // output.
+    assert_identical(
         "for $x in 1 to 5000 \
          group by $x mod 17 into $k \
          nest $x into $xs \
@@ -492,37 +444,29 @@ fn parallel_large_groupby_then_downstream_clauses() {
          where $k mod 2 = 0 \
          order by $n descending, $k \
          return <g>{$k}:{$n}</g>",
-        &mut DynamicContext::new(),
     );
 }
 
 #[test]
 fn parallel_error_matches_serial() {
-    // The parallel run must surface exactly the error the serial run
-    // raises first, even when later morsels would also fail.
-    let (serial, parallel) = threaded_engines();
-    let query = "for $x in 1 to 3000 return $x idiv ($x - 1500)";
-    let ctx = DynamicContext::new();
-    let e1 = serial
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect_err("threads=1 must fail");
-    let e4 = parallel
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect_err("threads=4 must fail");
-    assert_eq!(e1.to_string(), e4.to_string());
+    // Both runs surface the error of the first failing tuple, even
+    // though later tuples would also fail.
+    let err = assert_modes_identical_with(
+        &Engine::new(),
+        "for $x in 1 to 3000 return $x idiv ($x - 1500)",
+        DynamicContext::new,
+    )
+    .expect_err("the query must fail");
+    assert!(err.contains("division by zero"), "{err}");
 }
 
 // ---- access paths -----------------------------------------------------
 //
-// Every query below is evaluated four ways — access path forced to
-// `walk` and forced to `index`, each at threads=1 and threads=4 —
-// against a context whose documents carry indexed stores. All four
-// serialized results must be byte-identical: the index path is a pure
-// access-method substitution, never a semantic one.
+// Every query below is evaluated with the access path forced to `walk`
+// and forced to `index`, against a context whose documents carry
+// indexed stores. Both serialized results must be byte-identical: the
+// index path is a pure access-method substitution, never a semantic
+// one.
 
 fn indexed_orders_ctx() -> (
     xqa::DynamicContext,
@@ -542,34 +486,21 @@ fn assert_access_paths_identical(
     stats: &std::sync::Arc<xqa::storage::CatalogStatistics>,
 ) {
     use xqa::AccessPathMode;
-    let mut outputs: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in [AccessPathMode::Walk, AccessPathMode::Index] {
-            let engine = Engine::with_options(EngineOptions {
-                threads,
-                access_path: mode,
-                ..Default::default()
-            })
-            .with_statistics(std::sync::Arc::clone(stats));
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
-            let out = plan
-                .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
-            outputs.push((
-                format!("{mode:?} threads={threads}"),
-                serialize_sequence(&out),
-            ));
-        }
-    }
-    let (baseline_label, baseline) = &outputs[0];
-    for (label, out) in &outputs[1..] {
-        assert_eq!(
-            baseline, out,
-            "{baseline_label} and {label} disagree for:\n{query}"
-        );
-    }
+    let [walk, index] = [AccessPathMode::Walk, AccessPathMode::Index].map(|mode| {
+        let engine = Engine::with_options(EngineOptions {
+            access_path: mode,
+            ..Default::default()
+        })
+        .with_statistics(std::sync::Arc::clone(stats));
+        let plan = engine
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode:?}): {e}\n{query}"));
+        let out = plan
+            .run(ctx)
+            .unwrap_or_else(|e| panic!("run ({mode:?}): {e}\n{query}"));
+        serialize_sequence(&out)
+    });
+    assert_eq!(walk, index, "walk and index disagree for:\n{query}");
 }
 
 /// The paper-workload corpus replayed as a walk-vs-index differential.
@@ -630,7 +561,6 @@ fn access_path_differential_takes_the_index() {
     let run = |mode: AccessPathMode| {
         let engine = Engine::with_options(EngineOptions {
             access_path: mode,
-            threads: 1,
             ..Default::default()
         })
         .with_statistics(std::sync::Arc::clone(&stats));
@@ -656,41 +586,16 @@ fn access_path_differential_takes_the_index() {
     assert!(walk_tuples > 0, "forced walk run must tree-walk");
 }
 
-#[test]
-fn parallel_profile_reports_workers() {
-    // A profiled parallel run records the widest worker fan-out.
-    let parallel = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..Default::default()
-    });
-    let query = parallel
-        .compile(
-            "for $x in 1 to 5000 \
-             group by $x mod 5 into $k \
-             nest $x into $xs \
-             order by $k \
-             return <g>{$k}:{count($xs)}</g>",
-        )
-        .expect("compile");
-    let mut ctx = DynamicContext::new();
-    ctx.enable_profiling();
-    query.run(&ctx).expect("run");
-    let profile = ctx.take_profile().expect("profile");
-    let workers = profile.pipelines.iter().map(|p| p.workers).max().unwrap();
-    assert_eq!(workers, 4, "expected a 4-worker parallel pipeline");
-}
-
 // ---- expression bytecode ----------------------------------------------
 //
-// Every query in the corpora above is evaluated four ways — scalar
-// expression evaluation forced to `bytecode` and forced to `tree`, each
-// at threads=1 and threads=4. All four serialized results must be
-// byte-identical: a compiled program is a pure evaluation-method
-// substitution for the tree-walker, never a semantic one.
+// Every query in the corpora above is evaluated with scalar expression
+// evaluation forced to `bytecode` and forced to `tree`. Both serialized
+// results must be byte-identical: a compiled program is a pure
+// evaluation-method substitution for the tree-walker, never a semantic
+// one.
 
-fn engine_with_expr_eval(mode: xqa::ExprEvalMode, threads: usize) -> Engine {
+fn engine_with_expr_eval(mode: xqa::ExprEvalMode) -> Engine {
     Engine::with_options(EngineOptions {
-        threads,
         expr_eval: mode,
         ..Default::default()
     })
@@ -698,46 +603,31 @@ fn engine_with_expr_eval(mode: xqa::ExprEvalMode, threads: usize) -> Engine {
 
 fn assert_expr_evals_identical(query: &str, ctx: &DynamicContext) {
     use xqa::ExprEvalMode;
-    let mut outputs: Vec<(String, String)> = Vec::new();
-    let mut serial_comparisons: Vec<u64> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in [ExprEvalMode::Bytecode, ExprEvalMode::Tree] {
-            let engine = engine_with_expr_eval(mode, threads);
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
-            let before = ctx.stats.snapshot();
-            let out = plan
-                .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
-            let after = ctx.stats.snapshot();
-            if threads == 1 {
-                serial_comparisons.push(after.comparisons - before.comparisons);
-            }
-            outputs.push((
-                format!("{mode:?} threads={threads}"),
-                serialize_sequence(&out),
-            ));
-        }
-    }
-    let (baseline_label, baseline) = &outputs[0];
-    for (label, out) in &outputs[1..] {
-        assert_eq!(
-            baseline, out,
-            "{baseline_label} and {label} disagree for:\n{query}"
-        );
-    }
-    // The type-specialized comparison fast paths must count exactly the
-    // comparisons the tree-walker's kernels count (serial runs are
-    // deterministic; parallel grouping merges can legitimately differ).
+    let [bytecode, tree] = [ExprEvalMode::Bytecode, ExprEvalMode::Tree].map(|mode| {
+        let plan = engine_with_expr_eval(mode)
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode:?}): {e}\n{query}"));
+        let before = ctx.stats.snapshot();
+        let out = plan
+            .run(ctx)
+            .unwrap_or_else(|e| panic!("run ({mode:?}): {e}\n{query}"));
+        let comparisons = ctx.stats.snapshot().comparisons - before.comparisons;
+        (serialize_sequence(&out), comparisons)
+    });
     assert_eq!(
-        serial_comparisons[0], serial_comparisons[1],
-        "bytecode and tree comparison counts diverge at threads=1 for:\n{query}"
+        bytecode.0, tree.0,
+        "bytecode and tree disagree for:\n{query}"
+    );
+    // The type-specialized comparison fast paths must count exactly the
+    // comparisons the tree-walker's kernels count.
+    assert_eq!(
+        bytecode.1, tree.1,
+        "bytecode and tree comparison counts diverge for:\n{query}"
     );
 }
 
 /// The orders and document-free corpora replayed as a bytecode-vs-tree
-/// differential across thread counts.
+/// differential.
 #[test]
 fn expr_eval_corpus_differential() {
     for query in ORDERS_CORPUS {
@@ -760,8 +650,8 @@ fn expr_eval_access_path_corpus_differential() {
     }
 }
 
-/// The large multi-morsel shapes, where compiled programs run inside
-/// worker threads with per-worker register scratch and stats sinks.
+/// Large inputs, where one compiled program's register scratch is
+/// reused across many batches.
 #[test]
 fn expr_eval_parallel_morsel_differential() {
     let corpus = [
@@ -809,13 +699,13 @@ fn forced_bytecode_actually_compiles() {
     let ctx = DynamicContext::new();
     for query in lowering_corpus {
         let before = ctx.stats.snapshot();
-        engine_with_expr_eval(ExprEvalMode::Bytecode, 1)
+        engine_with_expr_eval(ExprEvalMode::Bytecode)
             .compile(query)
             .expect("compile")
             .run(&ctx)
             .expect("run");
         let mid = ctx.stats.snapshot();
-        engine_with_expr_eval(ExprEvalMode::Tree, 1)
+        engine_with_expr_eval(ExprEvalMode::Tree)
             .compile(query)
             .expect("compile")
             .run(&ctx)
@@ -842,55 +732,44 @@ fn forced_bytecode_actually_compiles() {
 
 // ---- join unnesting ----------------------------------------------------
 //
-// Every query below is evaluated four ways — join strategy forced to
-// `hash` and forced to `nested`, each at threads=1 and threads=4. All
-// four serialized results must be byte-identical: the hash join is a
-// pure join-method substitution for the nested loop, never a semantic
-// one. Every corpus entry is a joinable shape, so the hash-mode plans
-// are additionally required to carry the `[hash join ...]` annotation
-// (unless the process-wide `XQA_FORCE_JOIN` override is in play).
+// Every query below is evaluated with the join strategy forced to
+// `hash` and forced to `nested`. Both serialized results must be
+// byte-identical: the hash join is a pure join-method substitution for
+// the nested loop, never a semantic one. Every corpus entry is a
+// joinable shape, so the hash-mode plans are additionally required to
+// carry the `[hash join ...]` annotation (unless the process-wide
+// `XQA_FORCE_JOIN` override is in play). The hash plan then also goes
+// through the materialized-vs-streamed harness.
 
-fn engine_with_join(mode: xqa::JoinMode, threads: usize) -> Engine {
+fn engine_with_join(mode: xqa::JoinMode) -> Engine {
     Engine::with_options(EngineOptions {
-        threads,
         join: mode,
         ..Default::default()
     })
 }
 
-fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
+fn assert_join_modes_identical(query: &str, ctx: fn() -> DynamicContext) {
     use xqa::JoinMode;
     let forced = std::env::var_os("XQA_FORCE_JOIN").is_some();
-    let mut outputs: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in [JoinMode::Hash, JoinMode::Nested] {
-            let engine = engine_with_join(mode, threads);
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
-            if mode == JoinMode::Hash && !forced {
-                assert!(
-                    plan.explain().contains("[hash join"),
-                    "hash mode did not unnest:\n{query}\n{}",
-                    plan.explain()
-                );
-            }
-            let out = plan
-                .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
-            outputs.push((
-                format!("{mode:?} threads={threads}"),
-                serialize_sequence(&out),
-            ));
+    let [hash, nested] = [JoinMode::Hash, JoinMode::Nested].map(|mode| {
+        let plan = engine_with_join(mode)
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode:?}): {e}\n{query}"));
+        if mode == JoinMode::Hash && !forced {
+            assert!(
+                plan.explain().contains("[hash join"),
+                "hash mode did not unnest:\n{query}\n{}",
+                plan.explain()
+            );
         }
-    }
-    let (baseline_label, baseline) = &outputs[0];
-    for (label, out) in &outputs[1..] {
-        assert_eq!(
-            baseline, out,
-            "{baseline_label} and {label} disagree for:\n{query}"
-        );
-    }
+        let out = plan
+            .run(&ctx())
+            .unwrap_or_else(|e| panic!("run ({mode:?}): {e}\n{query}"));
+        serialize_sequence(&out)
+    });
+    assert_eq!(hash, nested, "hash and nested disagree for:\n{query}");
+    assert_modes_identical_with(&engine_with_join(JoinMode::Hash), query, ctx)
+        .unwrap_or_else(|e| panic!("run: {e}\n{query}"));
 }
 
 /// Joinable shapes over the orders document: the paper's §6 self-join
@@ -933,15 +812,14 @@ const JOIN_CORPUS: [&str; 7] = [
 
 #[test]
 fn join_corpus_differential() {
-    let ctx = orders_ctx();
     for query in JOIN_CORPUS {
-        assert_join_modes_identical(query, &ctx);
+        assert_join_modes_identical(query, orders_ctx);
     }
 }
 
 /// Large document-free shapes where the probe side (and in some the
-/// build side) splits into multiple morsels, exercising the shared
-/// build cell, the eager parallel pre-build, and per-worker probing.
+/// build side) spans many batches, so one build table serves every
+/// probing batch.
 const JOIN_LARGE_CORPUS: [&str; 4] = [
     "for $x in 1 to 3000 \
          let $m := for $y in (2, 4, 6, 8) where $y = $x mod 10 return $y \
@@ -960,9 +838,8 @@ const JOIN_LARGE_CORPUS: [&str; 4] = [
 
 #[test]
 fn join_large_morsel_differential() {
-    let ctx = DynamicContext::new();
     for query in JOIN_LARGE_CORPUS {
-        assert_join_modes_identical(query, &ctx);
+        assert_join_modes_identical(query, DynamicContext::new);
     }
 }
 
@@ -979,13 +856,13 @@ fn join_differential_takes_the_hash_path() {
     let ctx = orders_ctx();
     let query = JOIN_CORPUS[0];
     let before = ctx.stats.snapshot();
-    engine_with_join(JoinMode::Hash, 1)
+    engine_with_join(JoinMode::Hash)
         .compile(query)
         .expect("compile")
         .run(&ctx)
         .expect("run");
     let mid = ctx.stats.snapshot();
-    engine_with_join(JoinMode::Nested, 1)
+    engine_with_join(JoinMode::Nested)
         .compile(query)
         .expect("compile")
         .run(&ctx)
@@ -1024,7 +901,7 @@ fn mixed_query_counts_compiled_and_fallback() {
                  where $q >= 0 \
                  return $li/partkey";
     let before = ctx.stats.snapshot();
-    engine_with_expr_eval(ExprEvalMode::Bytecode, 1)
+    engine_with_expr_eval(ExprEvalMode::Bytecode)
         .compile(query)
         .expect("compile")
         .run(&ctx)
@@ -1038,59 +915,4 @@ fn mixed_query_counts_compiled_and_fallback() {
         after.expr_fallback > before.expr_fallback,
         "the path-valued for and function-calling let must fall back"
     );
-}
-
-// ---- DOP-invariant counters ---------------------------------------------
-
-/// One counter from an `EvalStatsSnapshot::to_json` object — the
-/// rendering `xqa --stats-json` prints.
-fn json_counter(json: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let start = json
-        .find(&key)
-        .unwrap_or_else(|| panic!("{name} missing: {json}"))
-        + key.len();
-    json[start..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("{name} is not a number: {json}"))
-}
-
-/// The evaluation and join counters `--stats-json` reports do not
-/// depend on the degree of parallelism: every query of the corpora
-/// above, run from a fresh context with joins forced to hash, reports
-/// the same `expr_compiled`, `expr_fallback` and `join_hash_probes` at
-/// threads 1, 2 and 4.
-#[test]
-fn counters_are_equal_across_thread_counts() {
-    let corpus = ORDERS_CORPUS
-        .iter()
-        .chain(&JOIN_CORPUS)
-        .map(|q| (*q, true))
-        .chain(
-            PLAIN_CORPUS
-                .iter()
-                .chain(&JOIN_LARGE_CORPUS)
-                .map(|q| (*q, false)),
-        );
-    for (query, orders) in corpus {
-        let counters = [1usize, 2, 4].map(|threads| {
-            let ctx = if orders {
-                orders_ctx()
-            } else {
-                DynamicContext::new()
-            };
-            engine_with_join(xqa::JoinMode::Hash, threads)
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile (threads={threads}): {e}\n{query}"))
-                .run(&ctx)
-                .unwrap_or_else(|e| panic!("run (threads={threads}): {e}\n{query}"));
-            let json = ctx.stats.snapshot().to_json();
-            ["expr_compiled", "expr_fallback", "join_hash_probes"]
-                .map(|name| (name, json_counter(&json, name)))
-        });
-        assert_eq!(counters[0], counters[1], "threads=1 vs 2 for:\n{query}");
-        assert_eq!(counters[0], counters[2], "threads=1 vs 4 for:\n{query}");
-    }
 }

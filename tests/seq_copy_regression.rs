@@ -8,7 +8,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test seq_copy_regression` — the
 //! recorded value is the fresh measurement plus 20% headroom.
 
-use xqa::{Engine, EngineOptions};
+use xqa::Engine;
 
 /// A representative paper-shaped aggregation: group, nest, re-bind the
 /// nested sequence, order, rank.
@@ -25,7 +25,7 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seq_copy_ceiling.txt")
 }
 
-/// One deterministic threads=1 run; returns the copy-counter deltas.
+/// One deterministic run; returns the copy-counter deltas.
 fn measure() -> (u64, u64) {
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: ORDERS,
@@ -33,10 +33,7 @@ fn measure() -> (u64, u64) {
     });
     let mut ctx = xqa::DynamicContext::new();
     ctx.set_context_document(&doc);
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let plan = engine.compile(QUERY).expect("compiles");
     let before = ctx.stats.snapshot();
     plan.run(&ctx).expect("runs");
