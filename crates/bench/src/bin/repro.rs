@@ -296,7 +296,7 @@ fn topk(sizes: &[usize]) {
             print!("{}", fast.explain_analyze(&profile));
             println!(
                 "expression evaluation: {} compiled-program evals, {} tree-walker fallbacks",
-                profile.expr_compiled, profile.expr_fallback
+                profile.counters.expr_compiled, profile.counters.expr_fallback
             );
             println!();
         }

@@ -48,6 +48,7 @@
 //!       --join MODE             as above (auto|hash|nested)
 //! ```
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use xqa::{
@@ -356,18 +357,11 @@ fn run(args: &Args) -> Result<(), String> {
         None
     };
     if args.stats {
-        let s = ctx.stats.snapshot();
-        eprintln!(
-            "stats: nodes_visited={} tuples_grouped={} groups_emitted={} comparisons={} \
-             tuples_produced={} pruned_filter={} pruned_topk={}",
-            s.nodes_visited,
-            s.tuples_grouped,
-            s.groups_emitted,
-            s.comparisons,
-            s.tuples_produced,
-            s.tuples_pruned_filter,
-            s.tuples_pruned_topk
-        );
+        let mut line = String::from("stats:");
+        for (name, _, _, value) in ctx.stats.snapshot().fields() {
+            let _ = write!(line, " {name}={value}");
+        }
+        eprintln!("{line}");
     }
     if args.stats_json {
         let s = ctx.stats.snapshot();

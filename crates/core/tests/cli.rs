@@ -78,6 +78,17 @@ fn stats_and_explain_go_to_stderr() {
     assert!(stderr.contains("group-by (hash, deep-equal)"), "{stderr}");
     assert!(stderr.contains("tuples_grouped=2"), "{stderr}");
     assert!(stderr.contains("groups_emitted=1"), "{stderr}");
+    // `--stats` prints every counter of the table, by its field name.
+    let stats_line = stderr
+        .lines()
+        .find(|l| l.starts_with("stats:"))
+        .expect("stats line");
+    for (name, ..) in xqa::EvalStatsSnapshot::default().fields() {
+        assert!(
+            stats_line.contains(&format!(" {name}=")),
+            "{name} missing: {stats_line}"
+        );
+    }
     // stdout has only the result
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "<v>1</v>");
 }

@@ -2,6 +2,7 @@
 
 use crate::profile::{Clock, MonotonicClock, Profiler, QueryProfile};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xqa_storage::DocumentStore;
@@ -19,271 +20,133 @@ pub struct Focus {
     pub size: i64,
 }
 
-/// Evaluation statistics, useful for demonstrating the plan-shape
-/// difference the paper measures (scans vs. single-pass grouping).
-///
-/// Counters are relaxed [`AtomicU64`]s so a context can be shared
-/// (`Arc<DynamicContext>`) across service worker threads and the stats
-/// aggregate without locks; single-threaded overhead is an uncontended
-/// atomic add per bump.
+/// A relaxed [`AtomicU64`] event counter: a context shared across service
+/// workers aggregates without locks, at one uncontended add per bump.
 #[derive(Debug, Default)]
-pub struct EvalStats {
-    /// Nodes touched by axis traversal.
-    pub nodes_visited: AtomicU64,
-    /// Input tuples consumed by `group by` clauses.
-    pub tuples_grouped: AtomicU64,
-    /// Groups emitted by `group by` clauses.
-    pub groups_emitted: AtomicU64,
-    /// Item comparisons performed (general/value comparisons).
-    pub comparisons: AtomicU64,
-    /// Tuples produced by pipeline scan operators (`for` / window).
-    pub tuples_produced: AtomicU64,
-    /// Tuples dropped by `where` filters.
-    pub tuples_pruned_filter: AtomicU64,
-    /// Tuples rejected or evicted by the bounded top-k heap.
-    pub tuples_pruned_topk: AtomicU64,
-    /// Items cloned into newly allocated sequence backing storage.
-    pub seq_items_copied: AtomicU64,
-    /// Items whose copy was avoided because a sequence clone shared its
-    /// backing allocation (each would have been a copy under `Vec`).
-    pub seq_clones_shared: AtomicU64,
-    /// Leading descendant steps served by a document-store index lookup.
-    pub scan_index_hits: AtomicU64,
-    /// Tuples produced by index-resolved scans.
-    pub scan_index_tuples: AtomicU64,
-    /// Tuples produced by tree-walk descendant scans.
-    pub scan_walk_tuples: AtomicU64,
-    /// Scalar expression evaluations served by a compiled bytecode
-    /// program.
-    pub expr_compiled: AtomicU64,
-    /// Scalar expression evaluations that fell back to the IR
-    /// tree-walker because lowering declined the expression.
-    pub expr_fallback: AtomicU64,
-    /// Probe lookups served by `HashJoin` operators (one per tuple
-    /// probed against a build table).
-    pub join_hash_probes: AtomicU64,
-    /// Items materialized into `HashJoin` build tables.
-    pub join_build_tuples: AtomicU64,
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add `n` to the counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The counter's current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-/// A plain-value copy of [`EvalStats`] taken at one instant.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EvalStatsSnapshot {
-    /// Nodes touched by axis traversal.
-    pub nodes_visited: u64,
-    /// Input tuples consumed by `group by` clauses.
-    pub tuples_grouped: u64,
-    /// Groups emitted by `group by` clauses.
-    pub groups_emitted: u64,
-    /// Item comparisons performed.
-    pub comparisons: u64,
-    /// Tuples produced by pipeline scan operators.
-    pub tuples_produced: u64,
-    /// Tuples dropped by `where` filters.
-    pub tuples_pruned_filter: u64,
-    /// Tuples rejected or evicted by the bounded top-k heap.
-    pub tuples_pruned_topk: u64,
-    /// Items cloned into newly allocated sequence backing storage.
-    pub seq_items_copied: u64,
-    /// Items whose copy a shared sequence clone avoided.
-    pub seq_clones_shared: u64,
-    /// Leading descendant steps served by a document-store index lookup.
-    pub scan_index_hits: u64,
-    /// Tuples produced by index-resolved scans.
-    pub scan_index_tuples: u64,
-    /// Tuples produced by tree-walk descendant scans.
-    pub scan_walk_tuples: u64,
-    /// Scalar expression evaluations served by compiled bytecode.
-    pub expr_compiled: u64,
-    /// Scalar expression evaluations that fell back to the tree-walker.
-    pub expr_fallback: u64,
-    /// Probe lookups served by `HashJoin` operators.
-    pub join_hash_probes: u64,
-    /// Items materialized into `HashJoin` build tables.
-    pub join_build_tuples: u64,
-}
+/// One counter as every surface renders it: name, metric, help, value.
+pub type CounterField = (&'static str, &'static str, &'static str, u64);
 
-impl EvalStats {
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.nodes_visited.store(0, Ordering::Relaxed);
-        self.tuples_grouped.store(0, Ordering::Relaxed);
-        self.groups_emitted.store(0, Ordering::Relaxed);
-        self.comparisons.store(0, Ordering::Relaxed);
-        self.tuples_produced.store(0, Ordering::Relaxed);
-        self.tuples_pruned_filter.store(0, Ordering::Relaxed);
-        self.tuples_pruned_topk.store(0, Ordering::Relaxed);
-        self.seq_items_copied.store(0, Ordering::Relaxed);
-        self.seq_clones_shared.store(0, Ordering::Relaxed);
-        self.scan_index_hits.store(0, Ordering::Relaxed);
-        self.scan_index_tuples.store(0, Ordering::Relaxed);
-        self.scan_walk_tuples.store(0, Ordering::Relaxed);
-        self.expr_compiled.store(0, Ordering::Relaxed);
-        self.expr_fallback.store(0, Ordering::Relaxed);
-        self.join_hash_probes.store(0, Ordering::Relaxed);
-        self.join_build_tuples.store(0, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the nodes-visited counter.
-    pub fn add_nodes_visited(&self, n: u64) {
-        self.nodes_visited.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the tuples-grouped counter.
-    pub fn add_tuples_grouped(&self, n: u64) {
-        self.tuples_grouped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the groups-emitted counter.
-    pub fn add_groups_emitted(&self, n: u64) {
-        self.groups_emitted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the comparisons counter.
-    pub fn add_comparisons(&self, n: u64) {
-        self.comparisons.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the tuples-produced counter.
-    pub fn add_tuples_produced(&self, n: u64) {
-        self.tuples_produced.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the filter-pruned counter.
-    pub fn add_tuples_pruned_filter(&self, n: u64) {
-        self.tuples_pruned_filter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the top-k-pruned counter.
-    pub fn add_tuples_pruned_topk(&self, n: u64) {
-        self.tuples_pruned_topk.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Fold a drained pair of thread-local sequence-copy counters
-    /// ([`xqa_xdm::take_seq_counters`]) into this block.
-    pub fn add_seq_counters(&self, copied: u64, shared: u64) {
-        self.seq_items_copied.fetch_add(copied, Ordering::Relaxed);
-        self.seq_clones_shared.fetch_add(shared, Ordering::Relaxed);
-    }
-
-    /// Record one index-served scan producing `tuples` tuples.
-    pub fn add_scan_index(&self, tuples: u64) {
-        self.scan_index_hits.fetch_add(1, Ordering::Relaxed);
-        self.scan_index_tuples.fetch_add(tuples, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the walk-scan tuple counter.
-    pub fn add_scan_walk_tuples(&self, n: u64) {
-        self.scan_walk_tuples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the compiled-expression evaluation counter.
-    pub fn add_expr_compiled(&self, n: u64) {
-        self.expr_compiled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the tree-walker fallback evaluation counter.
-    pub fn add_expr_fallback(&self, n: u64) {
-        self.expr_fallback.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the hash-join probe counter.
-    pub fn add_join_hash_probes(&self, n: u64) {
-        self.join_hash_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` to the hash-join build-tuple counter.
-    pub fn add_join_build_tuples(&self, n: u64) {
-        self.join_build_tuples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add a snapshot's counters into this block (used by the service
-    /// to aggregate per-request snapshots into server-wide totals).
-    pub fn add_snapshot(&self, s: &EvalStatsSnapshot) {
-        self.nodes_visited
-            .fetch_add(s.nodes_visited, Ordering::Relaxed);
-        self.tuples_grouped
-            .fetch_add(s.tuples_grouped, Ordering::Relaxed);
-        self.groups_emitted
-            .fetch_add(s.groups_emitted, Ordering::Relaxed);
-        self.comparisons.fetch_add(s.comparisons, Ordering::Relaxed);
-        self.tuples_produced
-            .fetch_add(s.tuples_produced, Ordering::Relaxed);
-        self.tuples_pruned_filter
-            .fetch_add(s.tuples_pruned_filter, Ordering::Relaxed);
-        self.tuples_pruned_topk
-            .fetch_add(s.tuples_pruned_topk, Ordering::Relaxed);
-        self.seq_items_copied
-            .fetch_add(s.seq_items_copied, Ordering::Relaxed);
-        self.seq_clones_shared
-            .fetch_add(s.seq_clones_shared, Ordering::Relaxed);
-        self.scan_index_hits
-            .fetch_add(s.scan_index_hits, Ordering::Relaxed);
-        self.scan_index_tuples
-            .fetch_add(s.scan_index_tuples, Ordering::Relaxed);
-        self.scan_walk_tuples
-            .fetch_add(s.scan_walk_tuples, Ordering::Relaxed);
-        self.expr_compiled
-            .fetch_add(s.expr_compiled, Ordering::Relaxed);
-        self.expr_fallback
-            .fetch_add(s.expr_fallback, Ordering::Relaxed);
-        self.join_hash_probes
-            .fetch_add(s.join_hash_probes, Ordering::Relaxed);
-        self.join_build_tuples
-            .fetch_add(s.join_build_tuples, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self) -> EvalStatsSnapshot {
-        EvalStatsSnapshot {
-            nodes_visited: self.nodes_visited.load(Ordering::Relaxed),
-            tuples_grouped: self.tuples_grouped.load(Ordering::Relaxed),
-            groups_emitted: self.groups_emitted.load(Ordering::Relaxed),
-            comparisons: self.comparisons.load(Ordering::Relaxed),
-            tuples_produced: self.tuples_produced.load(Ordering::Relaxed),
-            tuples_pruned_filter: self.tuples_pruned_filter.load(Ordering::Relaxed),
-            tuples_pruned_topk: self.tuples_pruned_topk.load(Ordering::Relaxed),
-            seq_items_copied: self.seq_items_copied.load(Ordering::Relaxed),
-            seq_clones_shared: self.seq_clones_shared.load(Ordering::Relaxed),
-            scan_index_hits: self.scan_index_hits.load(Ordering::Relaxed),
-            scan_index_tuples: self.scan_index_tuples.load(Ordering::Relaxed),
-            scan_walk_tuples: self.scan_walk_tuples.load(Ordering::Relaxed),
-            expr_compiled: self.expr_compiled.load(Ordering::Relaxed),
-            expr_fallback: self.expr_fallback.load(Ordering::Relaxed),
-            join_hash_probes: self.join_hash_probes.load(Ordering::Relaxed),
-            join_build_tuples: self.join_build_tuples.load(Ordering::Relaxed),
+/// Generates [`EvalStats`], [`EvalStatsSnapshot`] and every counter
+/// surface from one table. A row is `/// help` then
+/// `field => "metric_name",`; the doc comment is also the help text.
+macro_rules! eval_counters {
+    ($(#[doc = $help:literal] $name:ident => $metric:literal,)+) => {
+        /// Evaluation statistics, useful for demonstrating the plan-shape
+        /// difference the paper measures (scans vs. single-pass grouping).
+        #[derive(Debug, Default)]
+        pub struct EvalStats {
+            $(#[doc = $help] pub $name: Counter,)+
         }
-    }
+
+        /// A plain-value copy of [`EvalStats`] taken at one instant.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct EvalStatsSnapshot {
+            $(#[doc = $help] pub $name: u64,)+
+        }
+
+        impl EvalStats {
+            /// Reset all counters to zero.
+            pub fn reset(&self) {
+                $(self.$name.0.store(0, Ordering::Relaxed);)+
+            }
+
+            /// Add a snapshot's counters into this block (used by the
+            /// service to aggregate per-request snapshots into totals).
+            pub fn add_snapshot(&self, s: &EvalStatsSnapshot) {
+                $(self.$name.add(s.$name);)+
+            }
+
+            /// A point-in-time copy of all counters.
+            pub fn snapshot(&self) -> EvalStatsSnapshot {
+                EvalStatsSnapshot { $($name: self.$name.get(),)+ }
+            }
+        }
+
+        impl EvalStatsSnapshot {
+            /// Add `other`'s counters into this snapshot.
+            pub fn add(&mut self, other: &EvalStatsSnapshot) {
+                $(self.$name += other.$name;)+
+            }
+
+            /// The per-counter delta from `before` to `self` (saturating).
+            pub fn since(&self, before: &EvalStatsSnapshot) -> EvalStatsSnapshot {
+                EvalStatsSnapshot { $($name: self.$name.saturating_sub(before.$name),)+ }
+            }
+
+            /// Every counter, in declaration order.
+            pub fn fields(&self) -> impl ExactSizeIterator<Item = CounterField> {
+                [$((stringify!($name), $metric, $help.trim(), self.$name),)+].into_iter()
+            }
+
+            /// Append the counters as comma-separated `"name":value` JSON
+            /// members, in declaration order (no enclosing braces).
+            pub(crate) fn write_json_members(&self, out: &mut String) {
+                for (i, (name, _, _, value)) in self.fields().enumerate() {
+                    let _ = write!(out, "{}\"{name}\":{value}", if i == 0 { "" } else { "," });
+                }
+            }
+
+            /// Render the snapshot as one JSON object (std-only, hand-rolled).
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(400);
+                out.push('{');
+                self.write_json_members(&mut out);
+                out.push('}');
+                out
+            }
+        }
+    };
 }
 
-impl EvalStatsSnapshot {
-    /// Render the snapshot as one JSON object (std-only, hand-rolled).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"nodes_visited\":{},\"tuples_grouped\":{},\"groups_emitted\":{},\
-             \"comparisons\":{},\"tuples_produced\":{},\"tuples_pruned_filter\":{},\
-             \"tuples_pruned_topk\":{},\"seq_items_copied\":{},\"seq_clones_shared\":{},\
-             \"scan_index_hits\":{},\"scan_index_tuples\":{},\"scan_walk_tuples\":{},\
-             \"expr_compiled\":{},\"expr_fallback\":{},\
-             \"join_hash_probes\":{},\"join_build_tuples\":{}}}",
-            self.nodes_visited,
-            self.tuples_grouped,
-            self.groups_emitted,
-            self.comparisons,
-            self.tuples_produced,
-            self.tuples_pruned_filter,
-            self.tuples_pruned_topk,
-            self.seq_items_copied,
-            self.seq_clones_shared,
-            self.scan_index_hits,
-            self.scan_index_tuples,
-            self.scan_walk_tuples,
-            self.expr_compiled,
-            self.expr_fallback,
-            self.join_hash_probes,
-            self.join_build_tuples
-        )
-    }
+eval_counters! {
+    /// Nodes touched by axis traversal.
+    nodes_visited => "xqa_eval_nodes_visited_total",
+    /// Input tuples consumed by `group by` clauses.
+    tuples_grouped => "xqa_eval_tuples_grouped_total",
+    /// Groups emitted by `group by` clauses.
+    groups_emitted => "xqa_eval_groups_emitted_total",
+    /// Item comparisons performed (general/value comparisons).
+    comparisons => "xqa_eval_comparisons_total",
+    /// Tuples produced by pipeline scan operators (`for` / window).
+    tuples_produced => "xqa_eval_tuples_produced_total",
+    /// Tuples dropped by `where` filters.
+    tuples_pruned_filter => "xqa_eval_tuples_pruned_filter_total",
+    /// Tuples rejected or evicted by the bounded top-k heap.
+    tuples_pruned_topk => "xqa_eval_tuples_pruned_topk_total",
+    /// Items cloned into newly allocated sequence backing storage.
+    seq_items_copied => "xqa_eval_seq_items_copied_total",
+    /// Items whose copy a shared sequence clone avoided.
+    seq_clones_shared => "xqa_eval_seq_clones_shared_total",
+    /// Leading descendant steps served by a document-store index lookup.
+    scan_index_hits => "xqa_scan_index_hits_total",
+    /// Tuples produced by index-resolved scans.
+    scan_index_tuples => "xqa_scan_index_tuples_total",
+    /// Tuples produced by tree-walk descendant scans.
+    scan_walk_tuples => "xqa_scan_walk_tuples_total",
+    /// Scalar expression evaluations served by a compiled bytecode program.
+    expr_compiled => "xqa_eval_expr_compiled_total",
+    /// Scalar expression evaluations that fell back to the IR tree-walker.
+    expr_fallback => "xqa_eval_expr_fallback_total",
+    /// Probe lookups served by `HashJoin` operators (one per probed tuple).
+    join_hash_probes => "xqa_join_hash_total",
+    /// Items materialized into `HashJoin` build tables.
+    join_build_tuples => "xqa_join_build_tuples_total",
 }
 
 /// The dynamic context: input documents and runtime counters.
@@ -298,8 +161,7 @@ pub struct DynamicContext {
     /// without a store fall back to the tree walk per item.
     stores: HashMap<u64, Arc<DocumentStore>>,
     current_datetime: DateTime,
-    /// Runtime counters (always collected; the overhead is a few
-    /// relaxed `Cell` bumps).
+    /// Runtime counters, always collected (a relaxed add per bump).
     pub stats: EvalStats,
     /// The monotonic clock used for profiling timestamps. Injectable
     /// ([`DynamicContext::set_clock`]) so profiled runs can be made
@@ -531,8 +393,8 @@ mod tests {
     #[test]
     fn stats_reset() {
         let ctx = DynamicContext::new();
-        ctx.stats.add_nodes_visited(5);
-        ctx.stats.add_comparisons(2);
+        ctx.stats.nodes_visited.add(5);
+        ctx.stats.comparisons.add(2);
         assert_eq!(ctx.stats.snapshot().nodes_visited, 5);
         ctx.stats.reset();
         assert_eq!(ctx.stats.snapshot(), EvalStatsSnapshot::default());
@@ -549,16 +411,33 @@ mod tests {
         totals.add_snapshot(&s);
         totals.add_snapshot(&s);
         let t = totals.snapshot();
-        assert_eq!(t.nodes_visited, 6);
-        assert_eq!(t.tuples_produced, 20);
-        assert_eq!(t.comparisons, 0);
+        assert_eq!(t.since(&s), s, "two adds of s total 2s");
+        assert_eq!(s.since(&t), EvalStatsSnapshot::default(), "saturating");
+        let mut sum = s;
+        sum.add(&s);
+        assert_eq!(sum, t);
     }
 
     #[test]
     fn snapshot_json_shape() {
-        let json = EvalStatsSnapshot::default().to_json();
-        assert!(json.starts_with("{\"nodes_visited\":0"));
-        assert!(json.ends_with("\"join_build_tuples\":0}"));
+        let s = EvalStatsSnapshot {
+            nodes_visited: 1,
+            comparisons: 4,
+            ..Default::default()
+        };
+        assert_eq!(
+            s.to_json(),
+            "{\"nodes_visited\":1,\"tuples_grouped\":0,\"groups_emitted\":0,\
+             \"comparisons\":4,\"tuples_produced\":0,\"tuples_pruned_filter\":0,\
+             \"tuples_pruned_topk\":0,\"seq_items_copied\":0,\"seq_clones_shared\":0,\
+             \"scan_index_hits\":0,\"scan_index_tuples\":0,\"scan_walk_tuples\":0,\
+             \"expr_compiled\":0,\"expr_fallback\":0,\
+             \"join_hash_probes\":0,\"join_build_tuples\":0}"
+        );
+        let (name, metric, help, value) = s.fields().next().expect("a counter");
+        assert_eq!((name, value), ("nodes_visited", 1));
+        assert_eq!(metric, "xqa_eval_nodes_visited_total");
+        assert_eq!(help, "Nodes touched by axis traversal.");
     }
 
     #[test]
@@ -579,7 +458,7 @@ mod tests {
                 let ctx = std::sync::Arc::clone(&ctx);
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        ctx.stats.add_comparisons(1);
+                        ctx.stats.comparisons.add(1);
                     }
                 });
             }

@@ -90,30 +90,10 @@ fn with_run_accounting<T>(
     let before = dynamic.profiler().map(|_| dynamic.stats.snapshot());
     let result = run();
     let (copied, shared) = xqa_xdm::take_seq_counters();
-    dynamic.stats.add_seq_counters(copied, shared);
+    dynamic.stats.seq_items_copied.add(copied);
+    dynamic.stats.seq_clones_shared.add(shared);
     if let (Some(profiler), Some(before)) = (dynamic.profiler(), before) {
-        let after = dynamic.stats.snapshot();
-        profiler.add_seq(
-            after
-                .seq_items_copied
-                .saturating_sub(before.seq_items_copied),
-            after
-                .seq_clones_shared
-                .saturating_sub(before.seq_clones_shared),
-        );
-        profiler.add_access(
-            after.scan_index_hits.saturating_sub(before.scan_index_hits),
-            after
-                .scan_index_tuples
-                .saturating_sub(before.scan_index_tuples),
-            after
-                .scan_walk_tuples
-                .saturating_sub(before.scan_walk_tuples),
-        );
-        profiler.add_expr(
-            after.expr_compiled.saturating_sub(before.expr_compiled),
-            after.expr_fallback.saturating_sub(before.expr_fallback),
-        );
+        profiler.add_counters(&dynamic.stats.snapshot().since(&before));
     }
     result
 }
@@ -519,7 +499,9 @@ impl<'a> Interpreter<'a> {
             };
             let candidates = match self.index_candidates(access, name, node) {
                 Some(nodes) => {
-                    self.dynamic.stats.add_scan_index(nodes.len() as u64);
+                    let stats = &self.dynamic.stats;
+                    stats.scan_index_hits.add(1);
+                    stats.scan_index_tuples.add(nodes.len() as u64);
                     nodes
                 }
                 None => self.axis_nodes(Axis::Descendant, node, test),
@@ -724,9 +706,9 @@ impl<'a> Interpreter<'a> {
                 picked
             }
         };
-        stats.add_nodes_visited(visited);
+        stats.nodes_visited.add(visited);
         if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
-            stats.add_scan_walk_tuples(out.len() as u64);
+            stats.scan_walk_tuples.add(out.len() as u64);
         }
         out
     }
@@ -985,7 +967,7 @@ pub(crate) fn eval_value_comp(
     let ra = opt_atomic(rhs, "value comparison")?;
     match (la, ra) {
         (Some(la), Some(ra)) => {
-            stats.add_comparisons(1);
+            stats.comparisons.add(1);
             // Value comparisons treat untyped operands as strings.
             let la = untyped_to_string(la);
             let ra = untyped_to_string(ra);
@@ -1004,7 +986,7 @@ pub(crate) fn eval_general_comp(
     rhs: &[Item],
     stats: &EvalStats,
 ) -> EngineResult<Sequence> {
-    stats.add_comparisons((lhs.len() * rhs.len()) as u64);
+    stats.comparisons.add((lhs.len() * rhs.len()) as u64);
     Ok(Sequence::one(
         general_compare(lhs, rhs, op).map_err(EngineError::from)?,
     ))

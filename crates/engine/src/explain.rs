@@ -66,17 +66,19 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
     let _ = writeln!(
         out,
         "seq copies: items_copied={} clones_shared={}",
-        profile.seq_items_copied, profile.seq_clones_shared
+        profile.counters.seq_items_copied, profile.counters.seq_clones_shared
     );
     let _ = writeln!(
         out,
         "index scans: hits={} index_tuples={} walk_tuples={}",
-        profile.scan_index_hits, profile.scan_index_tuples, profile.scan_walk_tuples
+        profile.counters.scan_index_hits,
+        profile.counters.scan_index_tuples,
+        profile.counters.scan_walk_tuples
     );
     let _ = writeln!(
         out,
         "expr: compiled={} fallback={}",
-        profile.expr_compiled, profile.expr_fallback
+        profile.counters.expr_compiled, profile.counters.expr_fallback
     );
     if let Some(m) = profile.worst_misestimate() {
         let _ = writeln!(

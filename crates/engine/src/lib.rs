@@ -38,7 +38,7 @@ pub mod rewrite;
 pub mod trace;
 pub mod types;
 
-pub use context::{DynamicContext, EvalStats, EvalStatsSnapshot, Focus};
+pub use context::{Counter, CounterField, DynamicContext, EvalStats, EvalStatsSnapshot, Focus};
 pub use error::{EngineError, EngineResult};
 pub use explain::plan_fingerprint;
 pub use profile::{Clock, Misestimate, MonotonicClock, OpKind, QueryProfile, Span, TickClock};

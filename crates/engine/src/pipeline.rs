@@ -252,11 +252,11 @@ impl<'p> ExprEval<'p> {
     /// Flush locally accumulated evaluation counts to the stats block.
     fn flush(&mut self, stats: &EvalStats) {
         if self.n_compiled > 0 {
-            stats.add_expr_compiled(self.n_compiled);
+            stats.expr_compiled.add(self.n_compiled);
             self.n_compiled = 0;
         }
         if self.n_fallback > 0 {
-            stats.add_expr_fallback(self.n_fallback);
+            stats.expr_fallback.add(self.n_fallback);
             self.n_fallback = 0;
         }
     }
@@ -533,7 +533,7 @@ impl TupleSource for ForScan<'_> {
                 }
                 out.push(t);
                 if out.len() >= BATCH {
-                    interp.dynamic.stats.add_tuples_produced(out.len() as u64);
+                    interp.dynamic.stats.tuples_produced.add(out.len() as u64);
                     self.expr_eval.flush(&interp.dynamic.stats);
                     return Ok(Some(out));
                 }
@@ -546,7 +546,7 @@ impl TupleSource for ForScan<'_> {
                     self.base = base;
                 }
                 None if self.input_done => {
-                    interp.dynamic.stats.add_tuples_produced(out.len() as u64);
+                    interp.dynamic.stats.tuples_produced.add(out.len() as u64);
                     self.expr_eval.flush(&interp.dynamic.stats);
                     return Ok(if out.is_empty() { None } else { Some(out) });
                 }
@@ -623,7 +623,8 @@ impl TupleSource for Filter<'_> {
         interp
             .dynamic
             .stats
-            .add_tuples_pruned_filter((before - out.len()) as u64);
+            .tuples_pruned_filter
+            .add((before - out.len()) as u64);
         self.expr_eval.flush(&interp.dynamic.stats);
         Ok(Some(out))
     }
@@ -838,7 +839,8 @@ fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineRe
     interp
         .dynamic
         .stats
-        .add_join_build_tuples(table.items.len() as u64);
+        .join_build_tuples
+        .add(table.items.len() as u64);
     Ok(table)
 }
 
@@ -897,7 +899,7 @@ fn probe_let(
     let Some(keys) = probe_keys(j, table, interp, env) else {
         return scan_let(j, table, interp, env);
     };
-    interp.dynamic.stats.add_join_hash_probes(1);
+    interp.dynamic.stats.join_hash_probes.add(1);
     let mut out = SequenceBuilder::new();
     for idx in join_candidates(table, &keys) {
         if keys_match(&keys, &table.keys[idx]) {
@@ -920,7 +922,7 @@ fn probe_semi(
     let Some(keys) = probe_keys(j, table, interp, env) else {
         return scan_semi(j, table, interp, env);
     };
-    interp.dynamic.stats.add_join_hash_probes(1);
+    interp.dynamic.stats.join_hash_probes.add(1);
     Ok(join_candidates(table, &keys)
         .into_iter()
         .any(|idx| keys_match(&keys, &table.keys[idx])))
@@ -1021,7 +1023,8 @@ impl TupleSource for HashJoin<'_> {
             interp
                 .dynamic
                 .stats
-                .add_tuples_pruned_filter((before - out.len()) as u64);
+                .tuples_pruned_filter
+                .add((before - out.len()) as u64);
         }
         Ok(Some(out))
     }
@@ -1087,7 +1090,7 @@ impl TupleSource for WindowScan<'_> {
                 out.push(nt);
             }
         }
-        interp.dynamic.stats.add_tuples_produced(out.len() as u64);
+        interp.dynamic.stats.tuples_produced.add(out.len() as u64);
         Ok(Some(out))
     }
 }
@@ -1211,8 +1214,8 @@ impl GroupConsume<'_> {
             }
         }
 
-        stats.add_tuples_grouped(consumed);
-        stats.add_groups_emitted(groups.len() as u64);
+        stats.tuples_grouped.add(consumed);
+        stats.groups_emitted.add(groups.len() as u64);
 
         self.output = emit_groups(g, groups)?.into_iter();
         Ok(())
@@ -1293,7 +1296,7 @@ impl OrderBy<'_> {
                         }
                     }
                 }
-                interp.dynamic.stats.add_tuples_pruned_topk(pruned);
+                interp.dynamic.stats.tuples_pruned_topk.add(pruned);
                 heap.into_sorted()?
             }
             None => {

@@ -12,6 +12,7 @@
 //! and merge by plan signature into the context's [`QueryProfile`],
 //! which renders as `explain analyze` text or machine-readable JSON.
 
+use crate::context::EvalStatsSnapshot;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -327,24 +328,8 @@ impl PipelineProfile {
 pub struct QueryProfile {
     /// Pipelines in first-execution order.
     pub pipelines: Vec<PipelineProfile>,
-    /// Items cloned into newly allocated sequence backing storage over
-    /// the profiled run(s) (the [`crate::EvalStats`] delta).
-    pub seq_items_copied: u64,
-    /// Items whose copy a shared sequence clone avoided.
-    pub seq_clones_shared: u64,
-    /// Path steps the profiled run(s) answered from a document store
-    /// index (postings slice or value-index probe).
-    pub scan_index_hits: u64,
-    /// Tuples those index-resolved steps produced.
-    pub scan_index_tuples: u64,
-    /// Tuples produced by tree-walking descendant axis steps.
-    pub scan_walk_tuples: u64,
-    /// Scalar expression evaluations served by a compiled bytecode
-    /// program over the profiled run(s).
-    pub expr_compiled: u64,
-    /// Scalar expression evaluations that fell back to the IR
-    /// tree-walker because lowering declined the expression.
-    pub expr_fallback: u64,
+    /// The evaluation-counter delta over the profiled run(s).
+    pub counters: EvalStatsSnapshot,
     /// Execution span timeline: one root span per recorded pipeline
     /// execution (capped at [`QueryProfile::MAX_SPANS`] to stay
     /// compact), with per-operator child spans.
@@ -408,22 +393,14 @@ impl QueryProfile {
             ),
             None => "null".to_string(),
         };
-        format!(
-            "{{\"pipelines\":[{}],\"seq_items_copied\":{},\"seq_clones_shared\":{},\
-             \"scan_index_hits\":{},\"scan_index_tuples\":{},\"scan_walk_tuples\":{},\
-             \"expr_compiled\":{},\"expr_fallback\":{},\
-             \"worst_misestimate\":{},\"spans\":[{}]}}",
-            pipelines.join(","),
-            self.seq_items_copied,
-            self.seq_clones_shared,
-            self.scan_index_hits,
-            self.scan_index_tuples,
-            self.scan_walk_tuples,
-            self.expr_compiled,
-            self.expr_fallback,
-            worst,
-            spans.join(","),
-        )
+        let mut out = format!("{{\"pipelines\":[{}],", pipelines.join(","));
+        self.counters.write_json_members(&mut out);
+        let _ = write!(
+            out,
+            ",\"worst_misestimate\":{worst},\"spans\":[{}]}}",
+            spans.join(",")
+        );
+        out
     }
 }
 
@@ -454,27 +431,13 @@ impl Profiler {
         }
     }
 
-    /// Fold a run's sequence-copy counter deltas into the profile.
-    pub fn add_seq(&self, copied: u64, shared: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.seq_items_copied += copied;
-        p.seq_clones_shared += shared;
-    }
-
-    /// Fold a run's scan access-path counter deltas into the profile.
-    pub fn add_access(&self, index_hits: u64, index_tuples: u64, walk_tuples: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.scan_index_hits += index_hits;
-        p.scan_index_tuples += index_tuples;
-        p.scan_walk_tuples += walk_tuples;
-    }
-
-    /// Fold a run's expression-evaluation counter deltas into the
-    /// profile.
-    pub fn add_expr(&self, compiled: u64, fallback: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.expr_compiled += compiled;
-        p.expr_fallback += fallback;
+    /// Fold a run's evaluation-counter delta into the profile.
+    pub fn add_counters(&self, delta: &EvalStatsSnapshot) {
+        self.profile
+            .lock()
+            .expect("profiler poisoned")
+            .counters
+            .add(delta);
     }
 
     /// Drain the collected profile, leaving the profiler empty.
@@ -648,6 +611,25 @@ mod tests {
         assert!(!json.contains("\"est\":"));
         assert!(json.contains("\"worst_misestimate\":null"));
         assert!(json.contains("\"spans\":[]"));
+        // The counter delta sits between the pipelines and the worst
+        // misestimate, the seven historical profile keys in order.
+        let keys = [
+            "pipelines",
+            "seq_items_copied",
+            "seq_clones_shared",
+            "scan_index_hits",
+            "scan_index_tuples",
+            "scan_walk_tuples",
+            "expr_compiled",
+            "expr_fallback",
+            "join_build_tuples",
+            "worst_misestimate",
+        ];
+        let at: Vec<usize> = keys
+            .iter()
+            .map(|k| json.find(&format!("\"{k}\":")).expect(k))
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
 
         let mut scan = op(OpKind::ForScan, "", 6);
         scan.estimate = Some(3);

@@ -52,7 +52,8 @@ pub struct FlightRecord {
     /// Largest per-operator q-error in the profile, when estimates
     /// were available.
     pub worst_q_error: Option<f64>,
-    /// Pre-rendered JSON of the [`EvalStats`] snapshot.
+    /// Pre-rendered JSON of the [`EvalStats`] snapshot; present for
+    /// every request that reached evaluation, failed runs included.
     ///
     /// [`EvalStats`]: xqa_engine::EvalStats
     pub stats_json: Option<String>,

@@ -9,6 +9,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use xqa_engine::Counter;
 
 /// Upper bounds of the latency buckets, in microseconds.
 pub const LATENCY_BOUNDS_US: [u64; 13] = [
@@ -91,22 +92,22 @@ impl LatencyHistogram {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `POST /query` requests received.
-    pub query_requests: AtomicU64,
+    pub query_requests: Counter,
     /// Query requests that returned a result.
-    pub query_ok: AtomicU64,
+    pub query_ok: Counter,
     /// Query requests rejected (bad body, compile or runtime error).
-    pub query_errors: AtomicU64,
+    pub query_errors: Counter,
     /// Requests for paths/methods the server does not serve.
-    pub not_found: AtomicU64,
+    pub not_found: Counter,
     /// Connections whose request could not be parsed.
-    pub bad_requests: AtomicU64,
+    pub bad_requests: Counter,
     /// Requests answered `408` because a read deadline expired.
-    pub request_timeouts: AtomicU64,
+    pub request_timeouts: Counter,
     /// Query responses streamed as chunked transfer encoding.
-    pub streamed_responses: AtomicU64,
+    pub streamed_responses: Counter,
     /// Streamed responses aborted after the first byte (truncated
     /// chunked body, connection closed).
-    pub mid_stream_aborts: AtomicU64,
+    pub mid_stream_aborts: Counter,
     /// End-to-end query latency (receipt to serialized response).
     pub query_latency: LatencyHistogram,
 }
@@ -115,16 +116,6 @@ impl Metrics {
     /// A zeroed metrics block.
     pub fn new() -> Metrics {
         Metrics::default()
-    }
-
-    /// Relaxed-increment helper.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Relaxed read helper.
-    pub fn read(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
     }
 }
 

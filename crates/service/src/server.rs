@@ -39,8 +39,9 @@
 //! [`DocumentCatalog`] (cheap: documents are parsed once at startup and
 //! handed out as `Arc` clones), so per-request [`EvalStats`] and
 //! operator profiles never interleave between concurrent requests.
-//! Completed requests fold their stats snapshot into a service-wide
-//! totals block that `/metrics` reads. Plans come from the LRU
+//! Every request that reaches evaluation — failed runs included —
+//! folds its stats snapshot into a service-wide totals block that
+//! `/metrics` reads. Plans come from the LRU
 //! [`PlanCache`]; rewrite-fired counters bump only on cache misses so
 //! one compilation is counted exactly once. Every response carries an
 //! `X-Request-Id` header — the client's own, when it sent one — and
@@ -333,12 +334,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, mut guard: Admissio
             Ok(request) => request,
             Err(RequestError::Closed) => return,
             Err(RequestError::Timeout) => {
-                Metrics::bump(&shared.metrics.request_timeouts);
+                shared.metrics.request_timeouts.add(1);
                 respond_text(&mut stream, 408, "request read timed out\n", false);
                 return;
             }
             Err(err) => {
-                Metrics::bump(&shared.metrics.bad_requests);
+                shared.metrics.bad_requests.add(1);
                 let status = if err == RequestError::TooLarge {
                     413
                 } else {
@@ -390,17 +391,17 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared, keep_alive:
             match shared.flight.query_json(id) {
                 Some(body) => respond(stream, 200, "application/json", body.as_bytes(), keep_alive),
                 None => {
-                    Metrics::bump(&shared.metrics.not_found);
+                    shared.metrics.not_found.add(1);
                     respond_text(stream, 404, "no such request id\n", keep_alive);
                 }
             }
         }
         (_, "/query" | "/healthz" | "/metrics" | "/debug/queries" | "/debug/plans") => {
-            Metrics::bump(&shared.metrics.not_found);
+            shared.metrics.not_found.add(1);
             respond_text(stream, 405, "method not allowed\n", keep_alive);
         }
         _ => {
-            Metrics::bump(&shared.metrics.not_found);
+            shared.metrics.not_found.add(1);
             respond_text(stream, 404, "not found\n", keep_alive);
         }
     }
@@ -427,10 +428,8 @@ fn client_request_id(request: &Request) -> Option<String> {
 /// chunk (nothing left to write).
 struct QueryOutcome {
     body: Option<String>,
-    stats: EvalStatsSnapshot,
     profile: QueryProfile,
     query: String,
-    streamed: bool,
 }
 
 /// How a query request failed, split by how much of the response had
@@ -472,6 +471,74 @@ fn snapshot_run(
     (stats, profile)
 }
 
+/// Run `plan` against `ctx`: streamed as a chunked response (`None`:
+/// nothing left to write) or materialized and serialized (`Some(body)`).
+fn execute(
+    stream: &mut TcpStream,
+    plan: &xqa_engine::PreparedQuery,
+    ctx: &xqa_engine::DynamicContext,
+    want_stream: bool,
+    id_header: &[(&str, &str)],
+    keep_alive: bool,
+) -> Result<Option<String>, QueryFailure> {
+    if !want_stream {
+        let result = plan
+            .run(ctx)
+            .map_err(|e| QueryFailure::early("runtime", e.to_string()))?;
+        return Ok(Some(serialize_sequence(&result)));
+    }
+    // Chunked streaming: the response head goes out lazily with the
+    // first serialized batch, so an engine error before the first
+    // result byte still becomes an ordinary 400.
+    let mut head_written = false;
+    let run = plan.run_serialized(ctx, &mut |chunk: &str| {
+        if !head_written {
+            http::write_chunked_head(
+                stream,
+                200,
+                "application/xml; charset=utf-8",
+                id_header,
+                keep_alive,
+            )?;
+            head_written = true;
+        }
+        http::write_chunk(stream, chunk.as_bytes())
+    });
+    match run {
+        Ok(_) => {
+            // An empty result still owes the client its head.
+            let finish = if head_written {
+                http::finish_chunked(stream)
+            } else {
+                http::write_chunked_head(
+                    stream,
+                    200,
+                    "application/xml; charset=utf-8",
+                    id_header,
+                    keep_alive,
+                )
+                .and_then(|()| http::finish_chunked(stream))
+            };
+            finish.map(|()| None).map_err(|e| QueryFailure::Sink {
+                message: e.to_string(),
+            })
+        }
+        Err(xqa_engine::StreamError::BeforeFirstItem(e)) => {
+            Err(QueryFailure::early("runtime", e.to_string()))
+        }
+        Err(xqa_engine::StreamError::MidStream {
+            error,
+            items_emitted,
+        }) => Err(QueryFailure::MidStream {
+            message: error.to_string(),
+            items: items_emitted,
+        }),
+        Err(xqa_engine::StreamError::Sink { error, .. }) => Err(QueryFailure::Sink {
+            message: error.to_string(),
+        }),
+    }
+}
+
 /// Serve one `POST /query`. Returns whether the connection may serve
 /// another request (false after a truncated stream).
 fn handle_query(
@@ -485,7 +552,7 @@ fn handle_query(
     // response's request id when the client did not supply one.
     let seq = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let request_id = client_request_id(request).unwrap_or_else(|| seq.to_string());
-    Metrics::bump(&shared.metrics.query_requests);
+    shared.metrics.query_requests.add(1);
     let want_profile = matches!(
         http::query_param(&request.target, "profile"),
         Some("true") | Some("1")
@@ -515,6 +582,9 @@ fn handle_query(
     // property of the plan shape, retained by the flight recorder.
     let mut plan_rewrites: Vec<String> = Vec::new();
     let id_header: [(&str, &str); 1] = [("X-Request-Id", &request_id)];
+    // The run's counters once a request context exists (success or
+    // runtime failure); compile and body errors leave it `None`.
+    let mut run_stats: Option<EvalStatsSnapshot> = None;
     let outcome: Result<QueryOutcome, QueryFailure> = (|| {
         let query = std::str::from_utf8(&request.body)
             .map_err(|_| QueryFailure::early("body", "query text must be UTF-8"))?;
@@ -539,83 +609,19 @@ fn handle_query(
             }
         }
         // Fresh context per request: stats and the operator profile
-        // belong to this request alone, then fold into the totals.
+        // belong to this request alone, then fold into the totals —
+        // whether the run succeeded or failed.
         let mut ctx = shared.catalog.new_context();
         ctx.enable_profiling();
-        if want_stream {
-            // Chunked streaming: the response head goes out lazily with
-            // the first serialized batch, so an engine error before the
-            // first result byte still becomes an ordinary 400.
-            let mut head_written = false;
-            let run = plan.run_serialized(&ctx, &mut |chunk: &str| {
-                if !head_written {
-                    http::write_chunked_head(
-                        stream,
-                        200,
-                        "application/xml; charset=utf-8",
-                        &id_header,
-                        keep_alive,
-                    )?;
-                    head_written = true;
-                }
-                http::write_chunk(stream, chunk.as_bytes())
-            });
-            match run {
-                Ok(_) => {
-                    // An empty result still owes the client its head.
-                    let finish = if head_written {
-                        http::finish_chunked(stream)
-                    } else {
-                        http::write_chunked_head(
-                            stream,
-                            200,
-                            "application/xml; charset=utf-8",
-                            &id_header,
-                            keep_alive,
-                        )
-                        .and_then(|()| http::finish_chunked(stream))
-                    };
-                    if let Err(e) = finish {
-                        return Err(QueryFailure::Sink {
-                            message: e.to_string(),
-                        });
-                    }
-                    let (stats, profile) = snapshot_run(shared, &mut ctx);
-                    Ok(QueryOutcome {
-                        body: None,
-                        stats,
-                        profile,
-                        query: query.to_string(),
-                        streamed: true,
-                    })
-                }
-                Err(xqa_engine::StreamError::BeforeFirstItem(e)) => {
-                    Err(QueryFailure::early("runtime", e.to_string()))
-                }
-                Err(xqa_engine::StreamError::MidStream {
-                    error,
-                    items_emitted,
-                }) => Err(QueryFailure::MidStream {
-                    message: error.to_string(),
-                    items: items_emitted,
-                }),
-                Err(xqa_engine::StreamError::Sink { error, .. }) => Err(QueryFailure::Sink {
-                    message: error.to_string(),
-                }),
-            }
-        } else {
-            let result = plan
-                .run(&ctx)
-                .map_err(|e| QueryFailure::early("runtime", e.to_string()))?;
-            let (stats, profile) = snapshot_run(shared, &mut ctx);
-            Ok(QueryOutcome {
-                body: Some(serialize_sequence(&result)),
-                stats,
-                profile,
-                query: query.to_string(),
-                streamed: false,
-            })
-        }
+        let ran = execute(stream, &plan, &ctx, want_stream, &id_header, keep_alive);
+        let (stats, profile) = snapshot_run(shared, &mut ctx);
+        run_stats = Some(stats);
+        let body = ran?;
+        Ok(QueryOutcome {
+            body,
+            profile,
+            query: query.to_string(),
+        })
     })();
     let elapsed = start.elapsed();
     shared.metrics.query_latency.record(elapsed);
@@ -631,11 +637,11 @@ fn handle_query(
                 ok: true,
                 error: None,
                 cached_plan: plan_meta.is_some_and(|(_, cached)| cached),
-                streamed: o.streamed,
+                streamed: o.body.is_none(),
                 latency_us: elapsed.as_micros() as u64,
-                tuples: o.stats.tuples_produced,
+                tuples: run_stats.map_or(0, |s| s.tuples_produced),
                 worst_q_error: o.profile.worst_misestimate().map(|m| m.q_error),
-                stats_json: Some(o.stats.to_json()),
+                stats_json: run_stats.map(|s| s.to_json()),
                 profile_json: Some(o.profile.to_json()),
                 trace_json,
                 rewrites: plan_rewrites.clone(),
@@ -661,7 +667,7 @@ fn handle_query(
                     latency_us: elapsed.as_micros() as u64,
                     tuples,
                     worst_q_error: None,
-                    stats_json: None,
+                    stats_json: run_stats.map(|s| s.to_json()),
                     profile_json: None,
                     trace_json,
                     rewrites: plan_rewrites.clone(),
@@ -673,9 +679,9 @@ fn handle_query(
     let id_json = http::json_escape(&request_id);
     match outcome {
         Ok(outcome) => {
-            Metrics::bump(&shared.metrics.query_ok);
-            if outcome.streamed {
-                Metrics::bump(&shared.metrics.streamed_responses);
+            shared.metrics.query_ok.add(1);
+            if outcome.body.is_none() {
+                shared.metrics.streamed_responses.add(1);
             }
             if let Some(threshold_ms) = shared.slow_query_ms {
                 let ms = elapsed.as_millis() as u64;
@@ -683,7 +689,7 @@ fn handle_query(
                     eprintln!(
                         "[xqa-service] slow query #{request_id}: {ms}ms (threshold {threshold_ms}ms) \
                          tuples_produced={} query={}",
-                        outcome.stats.tuples_produced,
+                        run_stats.map_or(0, |s| s.tuples_produced),
                         truncate_for_log(&outcome.query),
                     );
                 }
@@ -695,7 +701,7 @@ fn handle_query(
                     let body = format!(
                         "{{\"request_id\":\"{id_json}\",\"result\":\"{}\",\"stats\":{},\"profile\":{}}}",
                         http::json_escape(&body),
-                        outcome.stats.to_json(),
+                        run_stats.unwrap_or_default().to_json(),
                         outcome.profile.to_json()
                     );
                     respond_with(
@@ -722,7 +728,7 @@ fn handle_query(
             }
         }
         Err(QueryFailure::Early { kind, message }) => {
-            Metrics::bump(&shared.metrics.query_errors);
+            shared.metrics.query_errors.add(1);
             let body = format!(
                 "{{\"request_id\":\"{id_json}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
                 http::json_escape(&kind),
@@ -742,8 +748,8 @@ fn handle_query(
             // Response bytes already left: truncate the chunked body
             // (no terminal chunk) and close so the client sees the
             // failure instead of a silently short result.
-            Metrics::bump(&shared.metrics.query_errors);
-            Metrics::bump(&shared.metrics.mid_stream_aborts);
+            shared.metrics.query_errors.add(1);
+            shared.metrics.mid_stream_aborts.add(1);
             eprintln!(
                 "[xqa-service] query #{request_id} failed mid-stream after {items} items: {message}"
             );
@@ -751,7 +757,7 @@ fn handle_query(
         }
         Err(QueryFailure::Sink { .. }) => {
             // The client hung up (or the socket died); nothing to send.
-            Metrics::bump(&shared.metrics.mid_stream_aborts);
+            shared.metrics.mid_stream_aborts.add(1);
             false
         }
     }
@@ -771,7 +777,6 @@ fn truncate_for_log(query: &str) -> String {
 fn render_metrics(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let m = &shared.metrics;
-    let stats = shared.totals.snapshot();
     let mut out = String::with_capacity(1024);
     let mut line = |name: &str, value: u64| {
         let _ = writeln!(&mut out, "{name} {value}");
@@ -779,43 +784,21 @@ fn render_metrics(shared: &Shared) -> String {
     line("xqa_uptime_seconds", shared.started.elapsed().as_secs());
     line("xqa_workers", shared.pool.size() as u64);
     line("xqa_worker_panics_total", shared.pool.panic_count());
-    line("xqa_query_requests_total", Metrics::read(&m.query_requests));
-    line("xqa_query_ok_total", Metrics::read(&m.query_ok));
-    line("xqa_query_errors_total", Metrics::read(&m.query_errors));
-    line("xqa_bad_requests_total", Metrics::read(&m.bad_requests));
-    line("xqa_not_found_total", Metrics::read(&m.not_found));
+    line("xqa_query_requests_total", m.query_requests.get());
+    line("xqa_query_ok_total", m.query_ok.get());
+    line("xqa_query_errors_total", m.query_errors.get());
+    line("xqa_bad_requests_total", m.bad_requests.get());
+    line("xqa_not_found_total", m.not_found.get());
     line("xqa_plan_cache_size", shared.cache.len() as u64);
     line("xqa_plan_cache_capacity", shared.cache.capacity() as u64);
     line("xqa_plan_cache_hits_total", shared.cache.hits());
     line("xqa_plan_cache_misses_total", shared.cache.misses());
-    line("xqa_eval_nodes_visited_total", stats.nodes_visited);
-    line("xqa_eval_tuples_grouped_total", stats.tuples_grouped);
-    line("xqa_eval_groups_emitted_total", stats.groups_emitted);
-    line("xqa_eval_comparisons_total", stats.comparisons);
-    line("xqa_eval_tuples_produced_total", stats.tuples_produced);
-    line(
-        "xqa_eval_tuples_pruned_filter_total",
-        stats.tuples_pruned_filter,
-    );
-    line(
-        "xqa_eval_tuples_pruned_topk_total",
-        stats.tuples_pruned_topk,
-    );
-    line("xqa_eval_seq_items_copied_total", stats.seq_items_copied);
-    line("xqa_eval_seq_clones_shared_total", stats.seq_clones_shared);
     line(
         "xqa_catalog_documents",
         shared.catalog.indexed_document_count() as u64,
     );
     line("xqa_catalog_version", shared.catalog.version());
     line("xqa_storage_index_bytes", shared.catalog.index_bytes());
-    line("xqa_scan_index_hits_total", stats.scan_index_hits);
-    line("xqa_scan_index_tuples_total", stats.scan_index_tuples);
-    line("xqa_scan_walk_tuples_total", stats.scan_walk_tuples);
-    line("xqa_eval_expr_compiled_total", stats.expr_compiled);
-    line("xqa_eval_expr_fallback_total", stats.expr_fallback);
-    line("xqa_join_hash_total", stats.join_hash_probes);
-    line("xqa_join_build_tuples_total", stats.join_build_tuples);
     line(
         "xqa_http_connections_active",
         shared.admission.active_connections() as u64,
@@ -825,23 +808,20 @@ fn render_metrics(shared: &Shared) -> String {
         shared.admission.queue_depth() as u64,
     );
     line("xqa_requests_shed_total", shared.admission.shed_total());
-    line(
-        "xqa_request_timeouts_total",
-        Metrics::read(&m.request_timeouts),
-    );
-    line(
-        "xqa_streamed_responses_total",
-        Metrics::read(&m.streamed_responses),
-    );
-    line(
-        "xqa_mid_stream_aborts_total",
-        Metrics::read(&m.mid_stream_aborts),
-    );
+    line("xqa_request_timeouts_total", m.request_timeouts.get());
+    line("xqa_streamed_responses_total", m.streamed_responses.get());
+    line("xqa_mid_stream_aborts_total", m.mid_stream_aborts.get());
     line("xqa_flight_records", shared.flight.len() as u64);
     line(
         "xqa_plan_fingerprints",
         shared.flight.fingerprint_count() as u64,
     );
+    for (_, metric, help, value) in shared.totals.snapshot().fields() {
+        let _ = writeln!(
+            &mut out,
+            "# HELP {metric} {help}\n# TYPE {metric} counter\n{metric} {value}"
+        );
+    }
     for (i, kind) in OpKind::ALL.iter().enumerate() {
         let _ = writeln!(
             &mut out,

@@ -431,3 +431,137 @@ fn mixed_good_and_bad_traffic_is_isolated_per_request() {
 
     server.shutdown();
 }
+
+/// The flat `{"name":value,...}` stats object as (name, value) pairs.
+fn stats_pairs(stats: &str) -> Vec<(String, u64)> {
+    stats
+        .trim_matches(|c| c == '{' || c == '}')
+        .split(',')
+        .map(|member| {
+            let (name, value) = member.split_once(':').expect("name:value");
+            (
+                name.trim_matches('"').to_string(),
+                value.parse().expect("counter value"),
+            )
+        })
+        .collect()
+}
+
+fn orders_server(lineitems: usize) -> Server {
+    let mut catalog = DocumentCatalog::new();
+    catalog.set_context(generate_orders(&OrdersConfig::with_total_lineitems(
+        lineitems,
+    )));
+    Server::start(
+        "127.0.0.1:0",
+        &catalog,
+        ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("start server")
+}
+
+#[test]
+fn runtime_failures_keep_their_counters() {
+    let server = orders_server(50);
+    let addr = server.local_addr();
+    // Visits every lineitem, then raises: the work is real even though
+    // the request fails. Once streamed (the default), once buffered.
+    let query = "if (count(//order/lineitem) gt 0) then error() else 0";
+    for (id, target) in [("fail-1", "/query"), ("fail-2", "/query?stream=false")] {
+        let (status, body) = http(
+            addr,
+            &format!(
+                "POST {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                 X-Request-Id: {id}\r\nContent-Length: {}\r\n\r\n{query}",
+                query.len()
+            ),
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"kind\":\"runtime\""), "{body}");
+    }
+
+    let (_, metrics) = get(addr, "/metrics");
+    let visited = metric(&metrics, "xqa_eval_nodes_visited_total") as u64;
+    assert!(visited > 0, "failed requests' work missing:\n{metrics}");
+    assert_eq!(metric(&metrics, "xqa_query_errors_total") as u64, 2);
+
+    let mut recorded = 0;
+    for id in ["fail-1", "fail-2"] {
+        let (status, record) = get(addr, &format!("/debug/query/{id}"));
+        assert_eq!(status, 200, "{record}");
+        assert!(record.contains("\"ok\":false"), "{record}");
+        let nodes = stats_pairs(stats_object(&record))
+            .into_iter()
+            .find(|(name, _)| name == "nodes_visited")
+            .expect("nodes_visited in the record's stats")
+            .1;
+        assert!(nodes > 0, "{record}");
+        recorded += nodes;
+    }
+    assert_eq!(recorded, visited, "totals are the sum of the two records");
+
+    server.shutdown();
+}
+
+#[test]
+fn every_counter_is_on_metrics_once_and_sums_the_request_stats() {
+    let server = orders_server(200);
+    let addr = server.local_addr();
+    let queries = [
+        GROUPBY_QUERY,
+        RANK_QUERY,
+        "for $m in distinct-values(//order/lineitem/shipmode) \
+         let $items := for $li in //order/lineitem where $li/shipmode = $m return $li \
+         where count($items) gt 1 \
+         return count($items)",
+        "(for $li in //order/lineitem \
+          where number($li/quantity) ge 20 \
+          order by number($li/extendedprice) descending \
+          return at $r <p rank=\"{$r}\">{data($li/partkey)}</p>)[position() le 3]",
+    ];
+    let mut sums: std::collections::BTreeMap<String, u64> = Default::default();
+    for query in queries {
+        let (_, (status, body)) = post_query_at(addr, "/query?profile=true", query);
+        assert_eq!(status, 200, "{body}");
+        for (name, value) in stats_pairs(stats_object(&body)) {
+            *sums.entry(name).or_default() += value;
+        }
+    }
+
+    let (_, metrics) = get(addr, "/metrics");
+    let counters: Vec<_> = xqa_engine::EvalStatsSnapshot::default().fields().collect();
+    assert_eq!(sums.len(), counters.len(), "stats JSON names every counter");
+    for (name, metric_name, help, _) in counters {
+        let lines_starting = |prefix: &str| {
+            metrics
+                .lines()
+                .filter(|l| l.starts_with(prefix))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            lines_starting(&format!("# HELP {metric_name} ")),
+            [format!("# HELP {metric_name} {help}")],
+            "{metrics}"
+        );
+        assert_eq!(
+            lines_starting(&format!("# TYPE {metric_name} ")),
+            [format!("# TYPE {metric_name} counter")],
+            "{metrics}"
+        );
+        assert_eq!(
+            lines_starting(&format!("{metric_name} ")),
+            [format!("{metric_name} {}", sums[name])],
+            "{name}: /metrics differs from the summed request stats"
+        );
+    }
+    assert!(
+        sums["join_hash_probes"] > 0,
+        "the join query took the hash path"
+    );
+    assert!(sums["tuples_pruned_topk"] > 0, "the top-k query pruned");
+
+    server.shutdown();
+}
